@@ -205,6 +205,9 @@ def _run_section(name: str, sec: configparser.SectionProxy, workers: int) -> ex.
         return ex.run_lemma28_check(fam, sec.getfloat("delta"), A=sec.getfloat("A", 2.0))
     if kind == "sharpness":
         seeds = [int(v) for v in _parse_values(sec.get("seeds", "0:19"))]
+        if os.environ.get("TANGENCY_SEED"):
+            # as many consecutive seeds as the config lists, from the override
+            seeds = [_env_seed(0) + k for k in range(len(seeds))]
         return ex.run_sharpness(
             R=sec.getfloat("R"), rho=sec.getfloat("rho"), eps=sec.getfloat("eps"),
             seeds=seeds, K=sec.getfloat("K", 2.0), workers=workers,

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidParamsError
 from .families import CircleFamily
 from .geometry import ANNULUS_THICKNESS_FACTOR, Rect2, rect_axes, rect_corners
 
@@ -50,19 +51,24 @@ class TangencyPairSet:
 
     def serialize(self, family: CircleFamily) -> str:
         pts = family.points.astype(float)
-        lines = [
+        blocks = [
             f"# family_hash={self.family_hash or family.provenance_hash()} "
-            f"delta={self.delta!r} n_pairs={len(self)}"
+            f"delta={self.delta!r} n_pairs={len(self)}\n"
         ]
-        for i, j in self.pairs:
-            d = float(np.linalg.norm(pts[i] - pts[j]))
-            gap = _gap_of(pts[i], pts[j])
-            lines.append(f"{int(i)} {int(j)} {d!r} {gap!r}")
-        return "\n".join(lines) + "\n"
-
-
-def _gap_of(p: np.ndarray, q: np.ndarray) -> float:
-    return float(abs(math.hypot(p[0] - q[0], p[1] - q[1]) - abs(p[2] - q[2])))
+        # blocks of pairs, joined as they go, keep the Python objects beside
+        # the output few
+        for start in range(0, len(self), 4096):
+            pairs = self.pairs[start:start + 4096]
+            diff = pts[pairs[:, 0]] - pts[pairs[:, 1]]
+            # sqrt of the row dot product rounds as np.linalg.norm does per
+            # pair; a plain sum of squares does not, nor does np.hypot match
+            # math.hypot
+            dists = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
+            blocks.append("".join(
+                f"{i} {j} {d!r} {abs(math.hypot(dx, dy) - abs(dz))!r}\n"
+                for (i, j), (dx, dy, dz), d in zip(pairs.tolist(), diff.tolist(), dists.tolist())
+            ))
+        return "".join(blocks)
 
 
 def _canonical(pairs_i, pairs_j) -> np.ndarray:
@@ -133,6 +139,10 @@ def count_ct_delta_hashed(family: CircleFamily, delta: float, cell: float | None
         # table bounded on fine thresholds.
         cell = max(delta, extent / 48.0)
     idx = np.floor((pts - lo) / cell).astype(np.int64)
+    if idx.max() >= 1 << 21:
+        raise InvalidParamsError(
+            f"cell: {cell!r} gives grid indices beyond the 21-bit key field; use a larger cell"
+        )
     keys = (idx[:, 0] << 42) + (idx[:, 1] << 21) + idx[:, 2]
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]

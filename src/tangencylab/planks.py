@@ -9,8 +9,16 @@ sweep over angles rejects every candidate comparable to an earlier kept
 plank. The result is pairwise K-incomparable by construction and maximal
 with respect to the candidate lattice.
 
+Whether a lattice plank meets the box is decided by the 15-axis separating
+axis test. Along a grid row (fixed indices b, c; index a varies) every
+axis projection is linear in a, so the box-meeting cells of a row form one
+interval [a_lo, a_hi]. Each slice stores these row extents, found from the
+15 linear constraints with the per-cell test run only on the few cells
+whose rounding could decide them; listing a slice's cells and asking
+whether a cell belongs to it are then index arithmetic.
+
 Collections can be huge (about R^2 planks at S = R), so a collection stores
-per-angle grid bounds plus the sparse rejection set instead of materialized
+per-angle row extents plus the sparse rejection set instead of materialized
 boxes; slices are regenerated on demand by the same deterministic code
 path. Richness of every plank against a family is computed per angle by
 snapping each point to the center grid, which is exact because membership
@@ -59,6 +67,31 @@ def _box_arrays(box: Box) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass
+class _RowExtents:
+    """The box-meeting grid cells of one slice, one a-interval per grid row.
+
+    Row (b, c) = origin + (i, k) holds the cells a_lo[i, k] <= a <= a_hi[i, k];
+    the row is empty when a_lo > a_hi. Rows outside the array hold no cell.
+    """
+
+    origin: np.ndarray  # (b, c) index of row (0, 0)
+    a_lo: np.ndarray  # (rows along b, rows along c), int64
+    a_hi: np.ndarray
+
+    def contains(self, idx: np.ndarray) -> np.ndarray:
+        """Mask of the grid indices (n, 3) that are box-meeting cells."""
+        nb, nc = self.a_lo.shape
+        i = idx[:, 1] - self.origin[0]
+        k = idx[:, 2] - self.origin[1]
+        inside = (i >= 0) & (i < nb) & (k >= 0) & (k < nc)
+        if not inside.any():
+            return inside
+        i, k = np.where(inside, i, 0), np.where(inside, k, 0)
+        a = idx[:, 0]
+        return inside & (self.a_lo[i, k] <= a) & (a <= self.a_hi[i, k])
+
+
+@dataclass
 class _SliceSpec:
     """Deterministic description of one angle slice of a collection."""
 
@@ -66,6 +99,7 @@ class _SliceSpec:
     frame: PlankFrame
     n_sat: int
     rejected: np.ndarray  # sorted packed keys of greedy-rejected cells
+    extents: _RowExtents
 
 
 @dataclass
@@ -101,7 +135,7 @@ class PlankCollection:
     def slice_cells(self, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Kept cells of slice j: (packed keys, grid indices, world centers)."""
         spec = self.slices[j]
-        keys, idx, centers = _grid_sat_cells(spec.frame, self.spacing, self.half_widths, self.box)
+        keys, idx, centers = _grid_sat_cells(spec.extents, spec.frame, self.spacing)
         if spec.rejected.size:
             keep = ~np.isin(keys, spec.rejected, assume_unique=True)
             keys, idx, centers = keys[keep], idx[keep], centers[keep]
@@ -168,8 +202,8 @@ def _grid_bounds(frame: PlankFrame, spacing, hw, box) -> tuple[np.ndarray, np.nd
 def _sat_axes(U: np.ndarray) -> np.ndarray:
     """The 15 candidate separating axes for an oriented box against an AABB."""
     eyes = np.eye(3)
-    crosses = [np.cross(eyes[i], U[j]) for i in range(3) for j in range(3)]
-    return np.vstack([eyes, U, np.array(crosses)])
+    crosses = np.cross(eyes[:, None, :], U[None, :, :]).reshape(9, 3)
+    return np.vstack([eyes, U, crosses])
 
 
 def _sat_intersects(centers: np.ndarray, U: np.ndarray, hw: np.ndarray, box: Box) -> np.ndarray:
@@ -182,22 +216,95 @@ def _sat_intersects(centers: np.ndarray, U: np.ndarray, hw: np.ndarray, box: Box
     return np.all(proj <= (r_box + r_plank) + 1e-9, axis=1)
 
 
-def _grid_sat_cells(
-    frame: PlankFrame, spacing: np.ndarray, hw: np.ndarray, box: Box
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All box-intersecting cells of a slice, sorted by packed key."""
+def _row_extents(frame: PlankFrame, spacing: np.ndarray, hw: np.ndarray, box: Box) -> _RowExtents:
+    """Per grid row, the interval of cells that pass the separating axis test.
+
+    On the row (b, c) the projection on SAT axis k of a cell center, less
+    the box center, is f_k(a) = alpha_k a + beta_k(b, c), and the test asks
+    |f_k(a)| <= t_k for all 15 axes; each constraint is an interval of a,
+    and so is their intersection. The intervals are solved once with t_k
+    widened by a margin m_k and once narrowed by it. m_k is over a hundred
+    times the rounding of f_k here or in the per-cell evaluation, so cells
+    of the narrow interval pass the per-cell test and cells outside the wide
+    one fail it. The cells between the two are decided by `_sat_intersects`
+    itself: usually none; a row's end cell when a face passes within the
+    margin of its threshold; a whole row when a face is flat along the row
+    and lies within the margin. A row's extent is the hull of its passing
+    cells, which in exact arithmetic are contiguous.
+    """
     lo_idx, shape = _grid_bounds(frame, spacing, hw, box)
-    if np.any(shape <= 0):
-        empty = np.empty(0, dtype=np.int64)
-        return empty, np.empty((0, 3), dtype=np.int64), np.empty((0, 3))
-    ranges = [lo_idx[ax] + np.arange(shape[ax]) for ax in range(3)]
-    g = np.meshgrid(*ranges, indexing="ij")
-    idx = np.column_stack([a.ravel() for a in g]).astype(np.int64)
+    a0, a1 = int(lo_idx[0]), int(lo_idx[0] + shape[0] - 1)
+    U = frame.matrix()
+    bc, bh = _box_arrays(box)
+    axes = _sat_axes(U)
+    t = (np.abs(axes) @ bh + np.abs(axes @ U.T) @ hw) + 1e-9
+    b = lo_idx[1] + np.arange(shape[1])
+    c = lo_idx[2] + np.arange(shape[2])
+    alpha = spacing[0] * (axes @ U[0])
+    offset = (b[:, None, None] * spacing[1]) * U[1] + (c[None, :, None] * spacing[2]) * U[2] - bc
+    beta = offset @ axes.T  # (rows along b, rows along c, 15)
+    reach = np.abs(np.stack([lo_idx, lo_idx + shape]) * spacing).max(axis=0).sum()
+    margin = 1e-12 * (reach + np.abs(bc).sum()) * np.abs(axes).sum(axis=1)
+
+    def solve(bound: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # cells with |alpha a + beta| <= bound on every axis, within [a0, a1]
+        sgn = np.sign(alpha)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lo = (-sgn * bound - beta) / alpha
+            hi = (sgn * bound - beta) / alpha
+        flat_ok = np.abs(beta) <= bound
+        lo = np.where(alpha == 0, np.where(flat_ok, -np.inf, np.inf), lo).max(axis=-1)
+        hi = np.where(alpha == 0, np.where(flat_ok, np.inf, -np.inf), hi).min(axis=-1)
+        lo = np.ceil(np.clip(lo, a0, a1 + 1)).astype(np.int64).ravel()
+        hi = np.floor(np.clip(hi, a0 - 1, a1)).astype(np.int64).ravel()
+        return lo, hi
+
+    out_lo, out_hi = solve(t + margin)
+    in_lo, in_hi = solve(t - margin)
+    inner = in_lo <= in_hi
+    # undecided cells: below and above the narrow interval, or the whole
+    # wide interval when the narrow one is empty
+    rows = np.arange(out_lo.size)
+    seg_row = np.concatenate([rows, rows])
+    seg_lo = np.concatenate([out_lo, np.where(inner, in_hi + 1, 0)])
+    seg_hi = np.concatenate([np.where(inner, in_lo - 1, out_hi), np.where(inner, out_hi, -1)])
+    row, a = _segment_cells(seg_row, seg_lo, seg_hi)
+    a_lo = np.where(inner, in_lo, a1 + 1)
+    a_hi = np.where(inner, in_hi, a0 - 1)
+    if a.size:
+        idx = np.column_stack([a, b[row // c.size], c[row % c.size]])
+        ok = _sat_intersects((idx * spacing) @ U, U, hw, box)
+        np.minimum.at(a_lo, row[ok], a[ok])
+        np.maximum.at(a_hi, row[ok], a[ok])
+    return _RowExtents(
+        origin=lo_idx[1:].copy(), a_lo=a_lo.reshape(b.size, c.size), a_hi=a_hi.reshape(b.size, c.size)
+    )
+
+
+def _segment_cells(seg_row: np.ndarray, seg_lo: np.ndarray, seg_hi: np.ndarray):
+    """(row, a) of every cell of the segments seg_lo <= a <= seg_hi, segment by segment."""
+    lens = np.maximum(seg_hi - seg_lo + 1, 0)
+    starts = np.cumsum(lens) - lens
+    row = np.repeat(seg_row, lens)
+    a = np.arange(row.size, dtype=np.int64) + np.repeat(seg_lo - starts, lens)
+    return row, a
+
+
+def _grid_sat_cells(
+    ext: _RowExtents, frame: PlankFrame, spacing: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All box-intersecting cells of a slice, sorted by packed key.
+
+    The cells are listed from the row extents; a stable sort on a puts them
+    in lexicographic (a, b, c) order, which is packed-key order.
+    """
+    nb, nc = ext.a_lo.shape
+    row, a = _segment_cells(np.arange(nb * nc), ext.a_lo.ravel(), ext.a_hi.ravel())
+    order = np.argsort(a, kind="stable")
+    row, a = row[order], a[order]
+    idx = np.column_stack([a, ext.origin[0] + row // nc, ext.origin[1] + row % nc])
     centers = (idx * spacing) @ frame.matrix()
-    mask = _sat_intersects(centers, frame.matrix(), hw, box)
-    idx, centers = idx[mask], centers[mask]
-    keys = _pack_idx(idx)  # lexicographic grid order is already key-sorted
-    return keys, idx, centers
+    return _pack_idx(idx), idx, centers
 
 
 # ---------------------------------------------------------------------------
@@ -236,17 +343,21 @@ def enumerate_incomparable(
     cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
     specs: list[_SliceSpec] = []
     for j in range(T):
-        keys, idx, centers = _grid_sat_cells(frames[j], spacing, hw, box)
+        extents = _row_extents(frames[j], spacing, hw, box)
+        keys, _, centers = _grid_sat_cells(extents, frames[j], spacing)
         kept = np.ones(keys.size, dtype=bool)
         for j2 in _earlier_neighbors(j, T, window):
             u_keys, u_centers, u_kept = cache[j2]
             if keys.size and u_keys.size:
                 hits = _comparable_hits(
-                    idx, centers, frames[j], u_keys, u_centers, u_kept, frames[j2], spacing, hw, K
+                    keys, centers, frames[j], u_keys, u_centers, u_kept, frames[j2], spacing, hw, K
                 )
                 kept &= ~hits
         specs.append(
-            _SliceSpec(theta=thetas[j], frame=frames[j], n_sat=int(keys.size), rejected=keys[~kept])
+            _SliceSpec(
+                theta=thetas[j], frame=frames[j], n_sat=int(keys.size), rejected=keys[~kept],
+                extents=extents,
+            )
         )
         cache[j] = (keys, centers, kept)
         _evict(cache, j, T, window)
@@ -318,7 +429,7 @@ def _containment_hits(
 
 
 def _comparable_hits(
-    v_idx: np.ndarray,
+    v_keys: np.ndarray,
     v_centers: np.ndarray,
     v_frame: PlankFrame,
     u_keys: np.ndarray,
@@ -351,7 +462,7 @@ def _comparable_hits(
         if res is not None:
             ok, cells = res
             if ok.any():
-                hits |= np.isin(_pack_idx(v_idx), _pack_idx(cells))
+                hits |= np.isin(v_keys, _pack_idx(cells))
     return hits
 
 
@@ -422,8 +533,9 @@ def _assign_points(
 
     Points snap to the center grid; the membership window K_rich * hw spans
     at most floor(K_rich / K) + 1 grid cells per axis, so scanning that many
-    offsets is exact. Cells outside the enumeration (box-missing or greedy
-    rejected) are dropped.
+    offsets is exact. Distinct offsets give a point distinct cells, so no
+    incidence repeats. Cells outside the enumeration (outside the slice's
+    row extents, or greedy rejected) are dropped.
     """
     spec = coll.slices[j]
     U = spec.frame.matrix()
@@ -443,8 +555,7 @@ def _assign_points(
                 if not ok.any():
                     continue
                 cells = cand[ok]
-                centers = (cells * spacing) @ U
-                ok2 = _sat_intersects(centers, U, hw, coll.box)
+                ok2 = spec.extents.contains(cells)
                 if not ok2.any():
                     continue
                 keys = _pack_idx(cells[ok2])
@@ -456,12 +567,7 @@ def _assign_points(
                 key_out.append(keys)
     if not pt_idx_out:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    pt_ids = np.concatenate(pt_idx_out)
-    keys = np.concatenate(key_out)
-    # a point can reach the same cell through different offset combos only
-    # when windows tie exactly on a boundary; dedupe to keep counts honest
-    uniq = np.unique(np.column_stack([pt_ids, keys]), axis=0)
-    return uniq[:, 0], uniq[:, 1]
+    return np.concatenate(pt_idx_out), np.concatenate(key_out)
 
 
 @dataclass

@@ -152,6 +152,23 @@ class TestExperimentCommand:
         rows = (out / "sharpness.csv").read_text().splitlines()[2:]
         assert [row.split(",")[11] for row in rows] == ["flagged", "flagged"]
 
+    def test_env_seed_overrides_sharpness_seeds(self, tmp_path, monkeypatch):
+        # the override runs as many consecutive seeds as the config lists
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[sharpness]\nR = 256\nrho = 16\neps = 0.25\nseeds = 0 5\n")
+        monkeypatch.setenv("TANGENCY_SEED", "7")
+        assert run_cli("experiment", "--config", str(cfg), "--out", str(tmp_path / "env")) == 0
+        monkeypatch.delenv("TANGENCY_SEED")
+        cfg.write_text("[sharpness]\nR = 256\nrho = 16\neps = 0.25\nseeds = 7:8\n")
+        assert run_cli("experiment", "--config", str(cfg), "--out", str(tmp_path / "cfg")) == 0
+
+        def rows(sub):
+            lines = (tmp_path / sub / "sharpness.csv").read_text().splitlines()[2:]
+            return [ln.rsplit(",", 1)[0] for ln in lines]  # drop runtime_ms
+
+        assert [row.split(",")[6] for row in rows("env")] == ["7", "8"]
+        assert rows("env") == rows("cfg")
+
     def test_malformed_config_exit_2(self, tmp_path):
         cfg = tmp_path / "cfg.ini"
         cfg.write_text("[mystery]\nfoo = 1\n")

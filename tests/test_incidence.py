@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import clustered_unit_family, random_unit_family
+from tangencylab.errors import InvalidParamsError
 from tangencylab.families import CircleFamily, gen_clamshell, gen_integer_lattice, gen_maximal_separated, unit_box
 from tangencylab.geometry import Rect2, annulus_contains_rect, is_exact_tangent_int, tangency_rect
 from tangencylab.incidence import (
@@ -75,6 +76,13 @@ class TestHashedEquivalence:
         ref = count_ct_delta_bruteforce(fam, 0.02).as_set()
         for cell in (0.003, 0.02, 0.11, 0.7):
             assert count_ct_delta_hashed(fam, 0.02, cell=cell).as_set() == ref
+
+    def test_key_overflow_raises(self):
+        # a cell this small puts grid indices past the 21-bit key fields,
+        # where packed keys of distinct cells would collide
+        fam = random_unit_family(3, 300)
+        with pytest.raises(InvalidParamsError, match="cell"):
+            count_ct_delta_hashed(fam, 1e-2, cell=1e-7)
 
     def test_deterministic_order(self):
         fam = random_unit_family(9, 200)
@@ -240,3 +248,34 @@ class TestSerialization:
         fam = gen_clamshell(10)
         pairs = count_ct_delta_bruteforce(fam, 0.01)
         assert pairs.ordered_count == 90
+
+    def test_pair_file_matches_per_pair_writer(self):
+        # the writer the vectorized one replaced, kept as the byte-level oracle
+        def per_pair(pairs, fam):
+            pts = fam.points.astype(float)
+            lines = [
+                f"# family_hash={pairs.family_hash or fam.provenance_hash()} "
+                f"delta={pairs.delta!r} n_pairs={len(pairs)}"
+            ]
+            for i, j in pairs.pairs:
+                d = float(np.linalg.norm(pts[i] - pts[j]))
+                p, q = pts[i], pts[j]
+                gap = float(abs(math.hypot(p[0] - q[0], p[1] - q[1]) - abs(p[2] - q[2])))
+                lines.append(f"{int(i)} {int(j)} {d!r} {gap!r}")
+            return "\n".join(lines) + "\n"
+
+        cases = [
+            (clustered_unit_family(21, 1500), 1e-2),
+            (random_unit_family(22, 1500), 2e-2),
+            (gen_maximal_separated(24, 4, "annular").rescale(1 / 24), 1e-2),
+        ]
+        n_pairs = 0
+        for fam, delta in cases:
+            for counter in (count_ct_delta_bruteforce, count_ct_delta_hashed):
+                pairs = counter(fam, delta)
+                assert pairs.serialize(fam) == per_pair(pairs, fam)
+                n_pairs += len(pairs)
+        fam = random_unit_family(1, 3)
+        empty = count_ct_delta_bruteforce(fam, 1e-9)
+        assert len(empty) == 0 and empty.serialize(fam) == per_pair(empty, fam)
+        assert n_pairs > 20000

@@ -7,13 +7,26 @@ import pytest
 
 from conftest import clustered_unit_family, random_unit_family
 from tangencylab.errors import EmptyFamilyError, InvalidParamsError
-from tangencylab.families import CircleFamily, gen_clamshell, gen_maximal_separated, gen_random_wellspaced, unit_box
-from tangencylab.geometry import Lightplank, delta_gap, plank_axes, plank_comparable, rotate_plank_z
+from tangencylab.families import (
+    CircleFamily,
+    annular_box,
+    cube_box,
+    gen_clamshell,
+    gen_maximal_separated,
+    gen_random_wellspaced,
+    unit_box,
+)
+from tangencylab.geometry import Lightplank, delta_gap, plank_axes, plank_comparable, rotate_plank_z, wrap_angle
 from tangencylab.incidence import count_ct_delta_bruteforce
 from tangencylab.planks import (
     PlankCollection,
+    _assign_points,
+    _grid_bounds,
     _grid_sat_cells,
+    _pack_idx,
     _planks_comparable_fast,
+    _row_extents,
+    _sat_intersects,
     bilinear_rich,
     enumerate_incomparable,
     mu_buckets,
@@ -54,8 +67,6 @@ class TestEnumeration:
         # the separating-axis filter may never reject a plank that has a
         # point inside the box: sampled points of rejected planks must all
         # fall outside, and accepted planks overwhelmingly show a witness
-        from tangencylab.planks import _grid_bounds, _sat_intersects
-
         rng = np.random.default_rng(9)
         coll = enumerate_incomparable(24, S=24, K=2.0)
         spacing, hw = coll.spacing, coll.half_widths
@@ -63,10 +74,7 @@ class TestEnumeration:
         witnesses, accepted = 0, 0
         for j in (0, 5, 11):
             frame = coll.slices[j].frame
-            lo_idx, shape = _grid_bounds(frame, spacing, hw, coll.box)
-            ranges = [lo_idx[ax] + np.arange(shape[ax]) for ax in range(3)]
-            g = np.meshgrid(*ranges, indexing="ij")
-            idx = np.column_stack([a.ravel() for a in g]).astype(np.int64)
+            idx = _bounding_grid(frame, spacing, hw, coll.box)
             centers = (idx * spacing) @ frame.matrix()
             mask = _sat_intersects(centers, frame.matrix(), hw, coll.box)
             samples = (rng.uniform(-1, 1, (150, 3)) * hw) @ frame.matrix()
@@ -94,7 +102,7 @@ class TestEnumeration:
         for _ in range(200):
             j = int(rng.integers(0, len(coll.slices)))
             spec = coll.slices[j]
-            keys, idx, centers = _grid_sat_cells(spec.frame, spacing, hw, coll.box)
+            keys, idx, centers = _grid_sat_cells(spec.extents, spec.frame, spacing)
             if keys.size == 0:
                 continue
             t = int(rng.integers(0, keys.size))
@@ -113,6 +121,129 @@ class TestEnumeration:
         text = coll.serialize()
         rows = [ln for ln in text.splitlines() if not ln.startswith("#")]
         assert len(rows) == len(coll)
+
+
+def _bounding_grid(frame, spacing, hw, box):
+    lo_idx, shape = _grid_bounds(frame, spacing, hw, box)
+    ranges = [lo_idx[ax] + np.arange(shape[ax]) for ax in range(3)]
+    g = np.meshgrid(*ranges, indexing="ij")
+    return np.column_stack([a.ravel() for a in g]).astype(np.int64)
+
+
+def _per_cell_sat_cells(frame, spacing, hw, box):
+    """The scan the row extents replaced: the SAT on every cell of the bounding grid."""
+    idx = _bounding_grid(frame, spacing, hw, box)
+    centers = (idx * spacing) @ frame.matrix()
+    mask = _sat_intersects(centers, frame.matrix(), hw, box)
+    idx, centers = idx[mask], centers[mask]
+    return _pack_idx(idx), idx, centers
+
+
+def _assert_row_extents_match(frame, spacing, hw, box, check_contains=False):
+    ext = _row_extents(frame, spacing, hw, box)
+    got = _grid_sat_cells(ext, frame, spacing)
+    want = _per_cell_sat_cells(frame, spacing, hw, box)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        np.testing.assert_array_equal(g, w)
+    if check_contains:
+        grid = _bounding_grid(frame, spacing, hw, box)
+        member = np.isin(_pack_idx(grid), want[0])
+        np.testing.assert_array_equal(ext.contains(grid), member)
+        lo, hi = grid.min(axis=0), grid.max(axis=0)
+        for shift in ([1, 0, 0], [0, 1, 0], [0, 0, 1]):  # cells past the grid bounds
+            assert not ext.contains(np.vstack([lo - shift, hi + shift])).any()
+    return got[0].size
+
+
+def _slice_frames(S):
+    T = int(math.ceil(2.0 * math.pi * math.sqrt(S)))
+    return [plank_axes(wrap_angle(-math.pi + 2.0 * math.pi / T * j)) for j in range(T)]
+
+
+def _scale(S, K, A=1.0):
+    dims = np.array([A, math.sqrt(A * S), S])
+    return K * dims, dims / 2.0
+
+
+BOXES = {
+    "cube": cube_box,
+    "annular": annular_box,
+    "offset": lambda R: ((0.37 * R, 1.37 * R), (-2.1 * R, -1.1 * R), (0.5, R + 0.5)),
+    "wide": lambda R: ((0.0, 10.0 * R), (0.0, R), (0.0, R)),
+}
+
+
+class TestRowExtents:
+    """The row-extent kernel against the per-cell separating axis scan."""
+
+    @pytest.mark.parametrize("box_name", sorted(BOXES))
+    def test_every_slice_small_R(self, box_name):
+        n_cells = 0
+        for R in (16, 32):
+            box = BOXES[box_name](R)
+            for K in (1.0, 2.0, 3.5):
+                for S in (R, R / 4):
+                    spacing, hw = _scale(S, K)
+                    for frame in _slice_frames(S):
+                        n_cells += _assert_row_extents_match(
+                            frame, spacing, hw, box, check_contains=(K == 2.0)
+                        )
+        assert n_cells > 0
+
+    @pytest.mark.parametrize("R", [1024, 2048])
+    def test_sampled_slices_large_R(self, R):
+        rng = np.random.default_rng(R)
+        spacing, hw = _scale(R, 2.0)
+        frames = _slice_frames(R)
+        for j in rng.choice(len(frames), 4, replace=False):
+            for box in (cube_box(R), BOXES["offset"](R)):
+                assert _assert_row_extents_match(frames[j], spacing, hw, box) > 0
+
+    @pytest.mark.parametrize("theta", [0.0, -math.pi / 2])
+    def test_faces_on_lattice_cells(self, theta):
+        # at these angles axis_b is (nearly) a coordinate axis, the b-grid
+        # sits at multiples of 8 and the plank half-width across it is 2:
+        # box faces through cell centers or flush with plank faces make
+        # whole rows touch the box exactly, and faces 1e-9 beyond flush put
+        # whole rows on the test's tolerance, where the kernel falls back to
+        # the per-cell test along the row
+        frame = plank_axes(theta)
+        spacing, hw = _scale(16, 2.0)
+        across = 0 if theta else 1
+        faces = [(24.0, 56.0), (26.0, 54.0), (22.0, 58.0), (24.0, 24.0)]
+        faces += [(26.0 + e, 54.0 - e) for e in (5e-10, 1e-9, 2e-9)]
+        for lo, hi in faces:
+            box = [(0.0, 40.0), (0.0, 40.0), (0.0, 40.0)]
+            box[across] = (lo, hi)
+            _assert_row_extents_match(frame, spacing, hw, tuple(box), check_contains=True)
+
+    def test_row_end_on_the_tolerance(self):
+        # the far face of the cube [0, L]^3 along axis_a at theta = 0 sits
+        # where the SAT threshold of cell a = 20 falls, then 1e-9 and 2e-9
+        # further in: the row ends are decided by the per-cell test
+        frame = plank_axes(0.0)
+        spacing, hw = _scale(16, 2.0)
+        for e in (0.0, 1e-9, 2e-9):
+            L = (20 * spacing[0] - hw[0] - e) / np.abs(frame.matrix()[0]).sum()
+            _assert_row_extents_match(frame, spacing, hw, ((0.0, L),) * 3, check_contains=True)
+
+    def test_extents_do_not_grow_with_the_bounding_grid(self):
+        # a 10R-long box at R = 2^11, K = 1, S = R/4 has about 10^8 cells in
+        # its bounding grid; the extents only hold one interval per row
+        import tracemalloc
+
+        R = 2048
+        spacing, hw = _scale(R / 4, 1.0)
+        frame = _slice_frames(R / 4)[7]
+        tracemalloc.start()
+        try:
+            ext = _row_extents(frame, spacing, hw, BOXES["wide"](R))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ext.a_lo.size < 20_000
+        assert peak < 32 * 2**20
 
 
 class TestRichness:
@@ -151,6 +282,50 @@ class TestRichness:
             pos = int(np.searchsorted(ks, int(keys[t])))
             P = coll.plank_at(j, centers[pos])
             assert richness(P, fam, K=1.0) == int(counts[t])
+
+    @pytest.mark.parametrize("K_rich", [1.0, 2.0, 3.0])
+    def test_assign_points_matches_richness(self, K_rich):
+        # K_rich = 1 scans one offset per axis, 2 and 3 scan two. Points sit
+        # 1e-9 inside or outside membership windows of kept cells, where the
+        # grid snap ties, and anywhere in and around the box.
+        coll = enumerate_incomparable(16, S=16, K=2.0)
+        rng = np.random.default_rng(int(K_rich))
+        window = K_rich * coll.half_widths
+        pts = [rng.uniform(-6.0, 22.0, (200, 3))]
+        for j in range(len(coll.slices)):
+            _, _, centers = coll.slice_cells(j)
+            pick = centers[rng.integers(0, len(centers), 6)]
+            signs = rng.choice([-1.0, 0.0, 1.0], (6, 3))
+            nudge = rng.choice([-1e-9, 1e-9], (6, 3))
+            pts.append(pick + (signs * (window + nudge)) @ coll.slices[j].frame.matrix())
+        fam = CircleFamily(np.vstack(pts), 16.0, 0.0, cube_box(16), {})
+        n_incidences = 0
+        for j in range(len(coll.slices)):
+            pt_ids, keys = _assign_points(coll, j, fam.points, K_rich)
+            ks, _, centers = coll.slice_cells(j)
+            assert np.isin(keys, ks).all()
+            uniq, counts = np.unique(keys, return_counts=True)
+            got = dict(zip(uniq.tolist(), counts.tolist()))
+            for k, c in zip(ks.tolist(), centers):
+                assert got.get(k, 0) == richness(coll.plank_at(j, c), fam, K=K_rich)
+            n_incidences += keys.size
+        assert n_incidences > 500
+
+    @pytest.mark.parametrize("K_rich", [1.0, 2.0, 3.0])
+    def test_assign_points_no_repeated_incidence_on_exact_boundaries(self, K_rich):
+        # points exactly on window faces of kept cells, where neighbouring
+        # windows meet: each (point, plank) incidence is listed once
+        coll = enumerate_incomparable(16, S=16, K=2.0)
+        rng = np.random.default_rng(10 + int(K_rich))
+        window = K_rich * coll.half_widths
+        for j in range(0, len(coll.slices), 3):
+            _, _, centers = coll.slice_cells(j)
+            pick = centers[rng.integers(0, len(centers), 30)]
+            signs = rng.choice([-1.0, 1.0], (30, 3))
+            pts = pick + (signs * window) @ coll.slices[j].frame.matrix()
+            pt_ids, keys = _assign_points(coll, j, pts, K_rich)
+            pairs = np.column_stack([pt_ids, keys])
+            assert np.unique(pairs, axis=0).shape[0] == pairs.shape[0] > 0
 
     def test_grid_assignment_total_incidences(self):
         # the per-angle snap assignment must reproduce the definitional scan
