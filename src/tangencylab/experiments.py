@@ -347,8 +347,10 @@ def light_ray_degeneracy(family: CircleFamily, pairs) -> int:
     d = d * sign[:, None]
     moment = np.cross(pts[i], d)
     ray_id = np.column_stack([d, moment])
-    _, counts = np.unique(ray_id, axis=0, return_counts=True)
-    return int(np.sum(counts >= 3))
+    # group equal ids by sorting on all six columns, then measure the runs
+    ray_id = ray_id[np.lexsort(ray_id.T)]
+    starts = np.flatnonzero(np.r_[True, np.any(ray_id[1:] != ray_id[:-1], axis=1), True])
+    return int(np.sum(np.diff(starts) >= 3))
 
 
 def run_exact_ct(n_values, workers: int = 1) -> ExperimentReport:

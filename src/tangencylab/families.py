@@ -58,6 +58,8 @@ class CircleFamily:
             self.points = self.points.reshape(0, 3)
         if self.points.shape[1] != 3:
             raise ValueError("points must have shape (n, 3)")
+        if self.points.dtype.kind == "f" and not np.isfinite(self.points).all():
+            raise InvalidParamsError("points: NaN and inf coordinates are rejected")
 
     def __len__(self) -> int:
         return self.points.shape[0]

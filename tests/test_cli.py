@@ -85,6 +85,25 @@ class TestCount:
         assert run_cli("count", "--family", str(fam), "--exact", "--bin") == 0
         assert "delta=0.0" in capsys.readouterr().out
 
+    def test_coincident_integer_points_exit_2(self, tmp_path, capsys):
+        # load_family does not validate, so duplicates reach the exact counter
+        fam = tmp_path / "dup.txt"
+        fam.write_text("# generator=x\n# integer=1 n=3\n0 0 1\n0 0 1\n1 0 2\n")
+        for flags in ((), ("--bin",)):
+            assert run_cli("count", "--family", str(fam), "--exact", *flags) == 2
+            assert "coincident" in capsys.readouterr().err
+
+    def test_non_finite_point_exit_2(self, tmp_path, capsys):
+        fam = tmp_path / "cl.txt"
+        run_cli("generate", "--kind", "clamshell", "--N", "3", "-o", str(fam))
+        lines = fam.read_text().splitlines()
+        row = next(k for k, ln in enumerate(lines) if not ln.startswith("#"))
+        lines[row + 1] = "nan" + lines[row + 1][lines[row + 1].index(" "):]
+        fam.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli("count", "--family", str(fam), "--delta", "0.1") == 2
+        assert "NaN" in capsys.readouterr().err
+
     def test_exact_on_float_family_is_misuse(self, tmp_path):
         fam = tmp_path / "cl.txt"
         run_cli("generate", "--kind", "clamshell", "--N", "5", "-o", str(fam))

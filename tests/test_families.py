@@ -246,6 +246,12 @@ class TestSerialization:
         with pytest.raises(ValueError, match="duplicate"):
             fam.validate()
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_points_rejected_at_construction(self, bad):
+        pts = np.array([[0.0, 0.0, 1.0], [bad, 0.0, 2.0], [1.0, 0.0, 2.0]])
+        with pytest.raises(InvalidParamsError, match="NaN and inf"):
+            CircleFamily(pts, 1.0, 0.0, unit_box(), {})
+
     def test_validation_rejects_out_of_box(self):
         fam = CircleFamily(np.array([[5.0, 0.0, 1.5]]), 1.0, 0.0, unit_box(), {})
         with pytest.raises(ValueError, match="box"):

@@ -5,12 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import clustered_unit_family, random_unit_family
 from tangencylab.errors import InvalidParamsError
+from tangencylab.experiments import light_ray_degeneracy
 from tangencylab.families import CircleFamily, gen_clamshell, gen_integer_lattice, gen_maximal_separated, unit_box
 from tangencylab.geometry import Rect2, annulus_contains_rect, is_exact_tangent_int, tangency_rect
 from tangencylab.incidence import (
+    _ct0_stencil,
     bin_dyadic,
     count_ct0_exact,
     count_ct_delta_bruteforce,
@@ -134,6 +137,126 @@ class TestExactCount:
         fam = CircleFamily(pts, float(s), 1.0, ((0, 3 * s), (0, 4 * s), (1, 6 * s)), {})
         ct = count_ct0_exact(fam, with_bins=False)
         assert ct.as_set() == {(0, 1)}
+
+    def test_coincident_points_rejected_on_every_path(self):
+        lattice = gen_integer_lattice(4).points
+        cases = [
+            np.array([[0, 0, 1], [0, 0, 1], [1, 0, 2]]),  # all-pairs scan
+            np.vstack([lattice, lattice[60]]),  # stencil: Z = 4, 126 points
+            np.array([[0, 0, 1], [0, 0, 1], [1, 0, 2]]) + 2**40,  # Python integers
+        ]
+        for pts in cases:
+            with pytest.raises(InvalidParamsError, match="coincident"):
+                count_ct0_exact(_integer_family(pts))
+        with pytest.raises(InvalidParamsError, match="coincident"):
+            _ct0_stencil(cases[0])
+
+    def test_lattice_closed_form_beyond_oracle_reach(self):
+        # a cone vector (dx, dy, dz), dz > 0, joins (n+1-|dx|)(n+1-|dy|)(n+1-dz)
+        # pairs of the lattice {0..n}^2 x {n..2n}, all at distance sqrt(2) dz
+        n = 40
+        total, buckets = 0, {}
+        for dz in range(1, n + 1):
+            for dx in range(-dz, dz + 1):
+                rest = dz * dz - dx * dx
+                dy = math.isqrt(rest)
+                if dy * dy != rest:
+                    continue
+                D = 2.0 ** (math.isqrt(2 * dz * dz).bit_length() - 1)
+                ways = (1 + (dy > 0)) * (n + 1 - abs(dx)) * (n + 1 - dy) * (n + 1 - dz)
+                total += ways
+                buckets[D] = buckets.get(D, 0) + ways
+        ct = count_ct0_exact(gen_integer_lattice(n), with_bins=True)
+        assert len(ct) == total
+        assert {D: arr.shape[0] for D, arr in ct.by_distance.items()} == buckets
+
+
+def _integer_family(pts) -> CircleFamily:
+    pts = np.asarray(pts, dtype=np.int64)
+    box = tuple((float(lo), float(hi)) for lo, hi in zip(pts.min(axis=0), pts.max(axis=0)))
+    return CircleFamily(pts, 1.0, 1.0, box, {"generator": "test"})
+
+
+def _exact_pairs_oracle(pts) -> dict[tuple[int, int], float]:
+    """Test-only all-pairs scan in Python integers: tangent pair -> dyadic D."""
+    rows = [tuple(int(c) for c in row) for row in pts]
+    found = {}
+    for i, j in itertools.combinations(range(len(rows)), 2):
+        dx, dy, dz = (b - a for a, b in zip(rows[i], rows[j]))
+        if dx * dx + dy * dy == dz * dz:
+            found[(i, j)] = 2.0 ** (math.isqrt(2 * dz * dz).bit_length() - 1)
+    return found
+
+
+def _rays_by_unique(family, pairs) -> int:
+    """light_ray_degeneracy as first written, grouping ray ids with np.unique."""
+    if len(pairs) == 0:
+        return 0
+    pts = family.points.astype(np.int64)
+    i, j = pairs.pairs[:, 0], pairs.pairs[:, 1]
+    d = pts[j] - pts[i]
+    g = np.maximum(np.gcd(np.gcd(np.abs(d[:, 0]), np.abs(d[:, 1])), np.abs(d[:, 2])), 1)
+    d = d // g[:, None]
+    sign = np.where(d[:, 0] != 0, np.sign(d[:, 0]),
+                    np.where(d[:, 1] != 0, np.sign(d[:, 1]), np.sign(d[:, 2])))
+    d = d * sign[:, None]
+    ray_id = np.column_stack([d, np.cross(pts[i], d)])
+    _, counts = np.unique(ray_id, axis=0, return_counts=True)
+    return int(np.sum(counts >= 3))
+
+
+@st.composite
+def _integer_points(draw):
+    """Distinct integer points, shaped to reach each exact-counting path.
+
+    dense: height span Z <= 6 and enough points for the stencil's dispatch
+    rule; wide: few points over a large span, so the all-pairs scan runs;
+    ray: points on one light ray among a few others; huge: wide or ray
+    points moved past 2^24, so Python integers run. Coordinates may be
+    negative.
+    """
+    kind = draw(st.sampled_from(["dense", "wide", "ray", "huge"]))
+    if kind == "dense":
+        Z, w = draw(st.integers(0, 6)), draw(st.integers(2, 6))
+        side = 2 * w + 1
+        need = 2 * Z * (4 + Z.bit_length())
+        cells = draw(st.lists(st.integers(0, side * side * (Z + 1) - 1),
+                              min_size=max(need, 2), max_size=max(need, 2) + 60, unique=True))
+        c = np.array(cells)
+        pts = np.column_stack([c % side - w, c // side % side - w, c // (side * side)])
+    else:
+        coord = st.integers(-30, 30)
+        pts = np.array(draw(st.lists(st.tuples(coord, coord, coord), min_size=2, max_size=40,
+                                     unique=True)), dtype=np.int64).reshape(-1, 3)
+        if kind == "ray" or (kind == "huge" and draw(st.booleans())):
+            a, b, c = draw(st.sampled_from([(1, 0, 1), (0, 1, 1), (3, 4, 5), (5, 12, 13), (8, 15, 17)]))
+            sx, sy, sz = draw(st.tuples(*[st.sampled_from([-1, 1])] * 3))
+            ts = draw(st.lists(st.integers(-6, 6), min_size=3, max_size=8, unique=True))
+            ray = np.array([[t * sx * a, t * sy * b, t * sz * c] for t in ts])
+            pts = np.unique(np.vstack([ray, pts[:5]]), axis=0)
+            pts = pts[draw(st.permutations(range(len(pts))))]
+    base = np.array(draw(st.tuples(*[st.integers(-100, 100)] * 3)))
+    if kind == "huge":
+        base = base + draw(st.integers(2**24 + 1, 2**61))
+    return pts.astype(np.int64) + base
+
+
+class TestExactDifferential:
+    @given(_integer_points())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_all_pairs_oracle(self, pts):
+        fam = _integer_family(pts)
+        expected = _exact_pairs_oracle(pts)
+        ct = count_ct0_exact(fam, with_bins=True)
+        assert ct.pairs.tolist() == [list(p) for p in sorted(expected)]
+        assert list(ct.by_distance) == sorted(set(expected.values()))
+        for D, arr in ct.by_distance.items():
+            assert {(int(i), int(j)) for i, j in arr} == {p for p, e in expected.items() if e == D}
+        found = _ct0_stencil(pts)
+        if found is not None:  # the stencil kernel on every shape, whichever path ran
+            assert found[0].tolist() == ct.pairs.tolist()
+        if np.abs(pts).max() <= 2**24:  # ray moments of huge points wrap int64
+            assert light_ray_degeneracy(fam, ct) == _rays_by_unique(fam, ct)
 
 
 class TestMonotonicityAndScaling:
