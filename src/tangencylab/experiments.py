@@ -34,11 +34,12 @@ from .families import (
     gen_random_wellspaced,
     wellspaced_candidates,
 )
-from .geometry import Circle3, containment_slack
+from .geometry import Circle3, containment_window, in_window, mutual_containment
 from .incidence import bin_dyadic, count_ct0_exact, count_ct_delta_hashed
 from .planks import (
     PlankCollection,
     _assign_points,
+    add_dyadic_counts,
     enumerate_incomparable,
     mu_buckets,
     pair_plank,
@@ -49,22 +50,6 @@ CSV_COLUMNS = [
     "experiment", "R", "rho", "delta", "eps", "K", "seed",
     "lhs", "rhs", "ratio", "mu_hat", "pass", "runtime_ms",
 ]
-
-
-@dataclass
-class ExperimentConfig:
-    """Declarative description of one experiment run.
-
-    params holds the driver's keyword arguments; seeds and trials are kept
-    separate so reports can echo them. Validation happens in the driver.
-    """
-
-    experiment: str
-    params: dict = field(default_factory=dict)
-    seeds: list[int] = field(default_factory=list)
-    trials: int = 0
-    workers: int = 1
-    output: str | None = None
 
 
 @dataclass
@@ -226,16 +211,7 @@ def _rectangle_job(args) -> dict:
     fam = gen_maximal_separated(R, rho)
     sep_ok, _ = check_separation(fam, rho)
     card_ok = (R / rho) ** 3 / 8 <= len(fam) <= 8 * (R / rho) ** 3
-    coll = enumerate_incomparable(R, S=R, K=K)
-    table = mu_buckets(coll, fam, K=1.0, keep_members=False)
-    lhs, mu_hat = _max_bucket_metric(table)
-    rhs = len(fam) ** (4.0 / 3.0)
-    return {
-        "experiment": "rectangle_bound", "R": R, "rho": rho, "delta": "", "eps": "",
-        "K": K, "seed": "", "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs, "mu_hat": mu_hat,
-        "pass": "1" if (sep_ok and card_ok) else "flagged",
-        "runtime_ms": int(1000 * (time.time() - t0)),
-    }
+    return _rectangle_row(R, rho, K, fam, "1" if (sep_ok and card_ok) else "flagged", t0)
 
 
 def _rectangle_control_row(R: float, N: int, K: float) -> dict:
@@ -247,14 +223,21 @@ def _rectangle_control_row(R: float, N: int, K: float) -> dict:
         points=pts, scale_R=R, separation_rho=math.sqrt(R), box=cube_box(R),
         provenance={"generator": "clamshell_control", "N": N},
     )
+    return _rectangle_row(R, math.sqrt(R), K, fam, "flagged", t0)
+
+
+def _rectangle_row(
+    R: float, rho: float, K: float, fam: CircleFamily, verdict: str, t0: float
+) -> dict:
+    """The rectangle_bound row of one family: enumerate, bucket, take the richest bucket."""
     coll = enumerate_incomparable(R, S=R, K=K)
     table = mu_buckets(coll, fam, K=1.0, keep_members=False)
     lhs, mu_hat = _max_bucket_metric(table)
     rhs = len(fam) ** (4.0 / 3.0)
     return {
-        "experiment": "rectangle_bound", "R": R, "rho": math.sqrt(R), "delta": "", "eps": "",
+        "experiment": "rectangle_bound", "R": R, "rho": rho, "delta": "", "eps": "",
         "K": K, "seed": "", "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs, "mu_hat": mu_hat,
-        "pass": "flagged", "runtime_ms": int(1000 * (time.time() - t0)),
+        "pass": verdict, "runtime_ms": int(1000 * (time.time() - t0)),
     }
 
 
@@ -452,28 +435,6 @@ def run_lemma28_check(family: CircleFamily, delta: float, A: float = 2.0) -> Exp
     return report
 
 
-def _mixed_abs_matrix(gaps: np.ndarray) -> np.ndarray:
-    """|U(t) V(t+gap)^T| for cone frames, in closed form per angle gap.
-
-    The frame rotates rigidly about the vertical axis, so the absolute
-    mixed matrix depends on the gap alone (and is symmetric in it), which
-    lets the greedy containment scan run without per-pair 3x3 products.
-    """
-    c = np.cos(gaps)
-    s = np.abs(np.sin(gaps)) / math.sqrt(2.0)
-    M = np.empty(gaps.shape + (3, 3))
-    M[..., 0, 0] = (1.0 + c) / 2.0
-    M[..., 0, 1] = s
-    M[..., 0, 2] = (1.0 - c) / 2.0
-    M[..., 1, 0] = s
-    M[..., 1, 1] = np.abs(c)
-    M[..., 1, 2] = s
-    M[..., 2, 0] = (1.0 - c) / 2.0
-    M[..., 2, 1] = s
-    M[..., 2, 2] = (1.0 + c) / 2.0
-    return M
-
-
 def _lemma28_extract(family: CircleFamily, bucket: np.ndarray, delta: float, D: float, A: float):
     """Greedy plank family for one distance bucket plus coverage verification.
 
@@ -481,8 +442,8 @@ def _lemma28_extract(family: CircleFamily, bucket: np.ndarray, delta: float, D: 
     A-dilation of an earlier kept plank, so every pair is covered by the
     A-dilation of its recorded witness; the verification below re-tests
     each witness with the membership predicate. The kept planks share
-    dimensions, so the containment windows come from the closed-form mixed
-    matrix of the angle gap.
+    dimensions, so one containment window per angle gap serves both
+    directions; a pair endpoint is a plank with zero half-widths.
     """
     pts = family.points.astype(float)
     m = bucket.shape[0]
@@ -500,6 +461,11 @@ def _lemma28_extract(family: CircleFamily, bucket: np.ndarray, delta: float, D: 
         cand_thetas[t] = P.frame.theta
         cand_centers[t] = P.v
     hw = planks[0].half_widths() if planks else np.zeros(3)
+    point_window = containment_window(0.0, hw, A, inner_hw=np.zeros(3))
+
+    def covers(P, i, j) -> bool:
+        offsets = (pts[[int(i), int(j)]] - P.v) @ P.frame.matrix().T
+        return bool(in_window(offsets, point_window).all())
 
     kept_idx: list[int] = []
     kept_mats = np.empty((m, 3, 3))
@@ -509,12 +475,11 @@ def _lemma28_extract(family: CircleFamily, bucket: np.ndarray, delta: float, D: 
     n_kept = 0
     for t in range(m):
         if n_kept:
-            gaps = cand_thetas[t] - kept_thetas[:n_kept]
-            tol = A * hw - _mixed_abs_matrix(gaps) @ hw + containment_slack(A * hw)
-            diff = cand_centers[t] - kept_centers[:n_kept]
-            coords = np.abs(np.einsum("kij,kj->ki", kept_mats[:n_kept], diff))
-            inside_fwd = np.all((coords <= tol) & (tol >= 0), axis=1)
-            hit = np.nonzero(inside_fwd)[0]
+            inside, holds = mutual_containment(
+                cand_thetas[t], cand_centers[t], planks[t].frame.matrix(),
+                kept_thetas[:n_kept], kept_centers[:n_kept], kept_mats[:n_kept], hw, A,
+            )
+            hit = np.nonzero(inside)[0]
             if hit.size:
                 # the candidate sits in the dilation of a kept plank, which
                 # therefore covers the pair
@@ -522,14 +487,10 @@ def _lemma28_extract(family: CircleFamily, bucket: np.ndarray, delta: float, D: 
                 continue
             # reverse containment alone does not cover the pair; reject only
             # when the comparable kept plank covers both endpoints directly
-            mat_t = planks[t].frame.matrix()
-            coords_rev = np.abs(diff @ mat_t.T)
-            inside_rev = np.all((coords_rev <= tol) & (tol >= 0), axis=1)
             covered = -1
             i, j = bucket[t]
-            for k in np.nonzero(inside_rev)[0]:
-                P = planks[kept_idx[int(k)]]
-                if _point_in(P, pts[int(i)], A) and _point_in(P, pts[int(j)], A):
+            for k in np.nonzero(holds)[0]:
+                if covers(planks[kept_idx[int(k)]], i, j):
                     covered = kept_idx[int(k)]
                     break
             if covered >= 0:
@@ -545,11 +506,9 @@ def _lemma28_extract(family: CircleFamily, bucket: np.ndarray, delta: float, D: 
     kept = [planks[t] for t in kept_idx]
     coverage_ok = True
     for t, (i, j) in enumerate(bucket):
-        P = planks[witness[t]]
-        pi, pj = pts[int(i)], pts[int(j)]
-        if not (_point_in(P, pi, A) and _point_in(P, pj, A)):
+        if not covers(planks[witness[t]], i, j):
             # the recorded witness must work; fall back to an existence scan
-            if not any(_point_in(Q, pi, A) and _point_in(Q, pj, A) for Q in kept):
+            if not any(covers(Q, i, j) for Q in kept):
                 coverage_ok = False
                 break
     violations = _count_comparable(kept_thetas[:n_kept], kept_centers[:n_kept],
@@ -559,28 +518,13 @@ def _lemma28_extract(family: CircleFamily, bucket: np.ndarray, delta: float, D: 
 
 def _count_comparable(thetas, centers, mats, hw, K: float) -> int:
     """Comparable pairs among same-dimension planks (diagnostic)."""
-    n = thetas.shape[0]
     count = 0
-    for a in range(n):
-        gaps = thetas[a + 1:] - thetas[a]
-        tol = K * hw - _mixed_abs_matrix(gaps) @ hw + containment_slack(K * hw)
-        diff = centers[a + 1:] - centers[a]
-        in_a = np.all(
-            (np.abs(diff @ mats[a].T) <= tol) & (tol >= 0), axis=1
+    for a in range(thetas.shape[0]):
+        inside, holds = mutual_containment(
+            thetas[a], centers[a], mats[a], thetas[a + 1:], centers[a + 1:], mats[a + 1:], hw, K
         )
-        in_b = np.all(
-            (np.abs(np.einsum("kij,kj->ki", mats[a + 1:], diff)) <= tol) & (tol >= 0),
-            axis=1,
-        )
-        count += int(np.sum(in_a | in_b))
+        count += int(np.sum(inside | holds))
     return count
-
-
-def _point_in(plank, p: np.ndarray, K: float) -> bool:
-    rel = p - plank.v
-    hw = K * plank.half_widths()
-    coords = np.abs(rel @ plank.frame.matrix().T)
-    return bool(np.all(coords <= hw + containment_slack(hw)))
 
 
 # ---------------------------------------------------------------------------
@@ -756,10 +700,7 @@ def _sharpness_plank_stats(coll: PlankCollection, fam: CircleFamily, judged: lis
             max_count = max(max_count, int(cx.max()))
             low = int(cx.min())
             min_rich = low if min_rich is None else min(min_rich, low)
-            exps = np.floor(np.log2(cx)).astype(np.int64)
-            for e, c in zip(*np.unique(exps, return_counts=True)):
-                mu = 1 << int(e)
-                bucket_counts[mu] = bucket_counts.get(mu, 0) + int(c)
+            add_dyadic_counts(bucket_counts, cx)
         jk, jm = judged[j]
         if jk.size:
             # a judged plank that no sampled point reaches holds count 0
@@ -776,8 +717,6 @@ def _sharpness_plank_stats(coll: PlankCollection, fam: CircleFamily, judged: lis
         "max_count": int(max_count),
         "n_judged_outside": n_outside,
         "concentration": float(concentration),
-        "n_rich": n_rich,
-        "buckets": bucket_counts,
     }
 
 

@@ -24,6 +24,24 @@ Box = tuple[tuple[float, float], tuple[float, float], tuple[float, float]]
 # multiple of the separation target rho.
 WELLSPACED_GRID_FACTOR = 100
 
+# Grid keys pack three cell indices into one int64, 21 bits per field.
+_KEY_BITS = 21
+_KEY_MASK = (1 << _KEY_BITS) - 1
+
+
+def pack_grid_keys(idx: np.ndarray, param: str) -> np.ndarray:
+    """One int64 key per row of cell indices (n, 3); keys sort lexicographically.
+
+    The indices may be integers or integral floats. Each must lie in
+    [0, 2^21), checked before any cast: an index outside would carry into a
+    neighbouring field and merge distinct cells, so it raises
+    InvalidParamsError naming `param`, the input that set the grid.
+    """
+    if idx.size and (idx.min() < 0 or idx.max() > _KEY_MASK):
+        raise InvalidParamsError(f"{param}: grid indices leave the 21-bit key field")
+    idx = idx.astype(np.int64, copy=False)
+    return (idx[:, 0] << (2 * _KEY_BITS)) + (idx[:, 1] << _KEY_BITS) + idx[:, 2]
+
 
 def cube_box(R: float) -> Box:
     return ((0.0, R), (0.0, R), (0.0, R))
@@ -449,8 +467,7 @@ def cube_occupancy(family: CircleFamily, cell: float) -> OccupancyProfile:
         n_cells = max(1, int(math.ceil((hi - lo) / cell - 1e-12)))
         raw = np.floor((pts[:, axis] - lo) / cell).astype(np.int64)
         idx[:, axis] = np.clip(raw, 0, n_cells - 1)
-    keys = (idx[:, 0] << 42) + (idx[:, 1] << 21) + idx[:, 2]
-    _, counts = np.unique(keys, return_counts=True)
+    _, counts = np.unique(pack_grid_keys(idx, "cell"), return_counts=True)
     values, cells = np.unique(counts, return_counts=True)
     return OccupancyProfile(
         cell_size=cell,

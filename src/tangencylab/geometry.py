@@ -7,8 +7,10 @@ their radii, so tangency detection reduces to a gap computation on encoded
 points, and families of mutually tangent circles lie along rays of the
 light cone {|(x1, x2)| = x3}.
 
-The module provides the scalar predicates; vectorized variants live next to
-their consumers so each fast path can be checked against these definitions.
+The module provides the scalar predicates, with the corner containment test
+as the oracle of plank comparability, and the one vectorized containment
+kernel (containment_window, in_window, mutual_containment) that every plank
+comparison in the package is built on.
 """
 
 from __future__ import annotations
@@ -226,6 +228,70 @@ def plank_comparable(P: Lightplank, Q: Lightplank, K: float = 1.0) -> bool:
     if K < 1.0:
         raise ValueError("dilation factor K must be >= 1")
     return plank_contained_in_dilation(P, Q, K) or plank_contained_in_dilation(Q, P, K)
+
+
+def mixed_abs_matrix(gaps) -> np.ndarray:
+    """|U(t) U(t+gap)^T| for cone frames, in closed form per angle gap.
+
+    The frame rotates rigidly about the vertical axis, so the absolute
+    mixed matrix depends on the gap alone. It is symmetric, and even and
+    2 pi periodic in the gap, so one matrix serves both orders of a pair.
+    """
+    gaps = np.asarray(gaps, dtype=float)
+    c = np.cos(gaps)
+    s = np.abs(np.sin(gaps)) / SQRT2
+    M = np.empty(gaps.shape + (3, 3))
+    M[..., 0, 0] = (1.0 + c) / 2.0
+    M[..., 0, 1] = s
+    M[..., 0, 2] = (1.0 - c) / 2.0
+    M[..., 1, 0] = s
+    M[..., 1, 1] = np.abs(c)
+    M[..., 1, 2] = s
+    M[..., 2, 0] = (1.0 - c) / 2.0
+    M[..., 2, 1] = s
+    M[..., 2, 2] = (1.0 + c) / 2.0
+    return M
+
+
+def containment_window(
+    gaps, hw: np.ndarray, K: float, inner_hw: np.ndarray | None = None
+) -> np.ndarray:
+    """Per-axis window K hw - M(g) inner_hw + slack, shape gaps.shape + (3,).
+
+    An inner plank (half-widths inner_hw; default hw, zeros for a point) at
+    angle gap g lies in the K-dilation of an outer plank (half-widths hw)
+    exactly when its center's offset in the outer frame is in_window: the
+    extreme inner corner coordinate on an outer axis is that offset plus the
+    mixed half-width sum M(g) inner_hw. The slack is that of the corner
+    oracle, plank_contained_in_dilation, which the kernel is tested against.
+    """
+    if inner_hw is None:
+        inner_hw = hw
+    return K * hw - mixed_abs_matrix(gaps) @ inner_hw + containment_slack(K * hw)
+
+
+def in_window(offsets: np.ndarray, window: np.ndarray) -> np.ndarray:
+    """|offsets| <= window on every axis (last dimension).
+
+    A negative window on any axis admits no offset, so a frame pair that
+    rules containment out needs no separate test.
+    """
+    return np.all(np.abs(offsets) <= window, axis=-1)
+
+
+def mutual_containment(theta, v, U, thetas, centers, mats, hw, K: float):
+    """Containment both ways between one plank and many, all of half-widths hw.
+
+    The one plank has frame angle theta, center v and frame matrix U; the
+    others are given by arrays of the same. Returns (inside, holds):
+    inside[k] when the plank lies in the K-dilation of plank k, holds[k]
+    when plank k lies in its K-dilation.
+    """
+    window = containment_window(theta - thetas, hw, K)
+    diff = v - centers
+    inside = in_window(np.einsum("kij,kj->ki", mats, diff), window)
+    holds = in_window(diff @ U.T, window)
+    return inside, holds
 
 
 def rotate_point_z(p: np.ndarray, phi: float) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParamsError
-from .families import CircleFamily
+from .families import CircleFamily, pack_grid_keys
 from .geometry import ANNULUS_THICKNESS_FACTOR, Rect2, rect_axes, rect_corners
 
 # The vectorized exact-tangency path stays in int64; coordinates above this
@@ -142,19 +142,13 @@ def count_ct_delta_hashed(family: CircleFamily, delta: float, cell: float | None
         # delta-sized cells are ideal for pruning but keep the occupied-cell
         # table bounded on fine thresholds.
         cell = max(delta, extent / 48.0)
-    idx = np.floor((pts - lo) / cell).astype(np.int64)
-    if idx.max() >= 1 << 21:
-        raise InvalidParamsError(
-            f"cell: {cell!r} gives grid indices beyond the 21-bit key field; use a larger cell"
-        )
-    keys = (idx[:, 0] << 42) + (idx[:, 1] << 21) + idx[:, 2]
+    idx = np.floor((pts - lo) / cell)
+    keys = pack_grid_keys(idx, "cell")
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
     uniq_keys, starts = np.unique(sorted_keys, return_index=True)
     ends = np.append(starts[1:], n)
-    cell_idx = np.column_stack(
-        [(uniq_keys >> 42) & 0x1FFFFF, (uniq_keys >> 21) & 0x1FFFFF, uniq_keys & 0x1FFFFF]
-    ).astype(float)
+    cell_idx = idx[order[starts]]
     ncells = uniq_keys.shape[0]
 
     sizes = ends - starts
@@ -417,7 +411,7 @@ def bin_dyadic(pairs: TangencyPairSet, family: CircleFamily) -> TangencyPairSet:
     diff = pts[pairs.pairs[:, 0]] - pts[pairs.pairs[:, 1]]
     dists = np.linalg.norm(diff, axis=1)
     if np.any(dists == 0.0):
-        raise ValueError("coincident points cannot form a tangent pair")
+        raise InvalidParamsError(_COINCIDENT)
     exps = np.floor(np.log2(dists)).astype(np.int64)
     by_distance = {float(2.0 ** int(e)): pairs.pairs[exps == e] for e in np.unique(exps)}
     return TangencyPairSet(

@@ -35,12 +35,14 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import EmptyFamilyError, InvalidParamsError
-from .families import Box, CircleFamily, cube_box
+from .families import Box, CircleFamily, cube_box, pack_grid_keys
 from .geometry import (
     Circle3,
     Lightplank,
     PlankFrame,
-    containment_slack,
+    containment_window,
+    in_window,
+    mutual_containment,
     plank_axes,
     tangency_point,
     tangency_rect,
@@ -48,16 +50,13 @@ from .geometry import (
 )
 from .incidence import lift_rect
 
-# Grid indices are packed three-per-int64 after this offset; enumeration
-# scales keep them far below the field width of 2^20.
+# Center-grid indices are signed; they are packed after this offset, so
+# each must lie in [-2^20, 2^20). Enumeration scales keep them far inside.
 _IDX_OFFSET = 1 << 20
 
 
 def _pack_idx(idx: np.ndarray) -> np.ndarray:
-    shifted = idx.astype(np.int64) + _IDX_OFFSET
-    if shifted.size and (shifted.min() < 0 or shifted.max() >= (1 << 21)):
-        raise InvalidParamsError("box: grid index range exceeds the packing width")
-    return (shifted[:, 0] << 42) + (shifted[:, 1] << 21) + shifted[:, 2]
+    return pack_grid_keys(idx + _IDX_OFFSET, "box")
 
 
 def _box_arrays(box: Box) -> tuple[np.ndarray, np.ndarray]:
@@ -381,22 +380,14 @@ def _earlier_neighbors(j: int, T: int, window: int) -> list[int]:
 
 
 def _comparability_window(step: float, T: int, hw: np.ndarray, K: float) -> int:
-    """Largest angle-index gap at which two lattice planks can be comparable.
+    """First angle-index gap in 1..T-1 at which no two lattice planks are comparable.
 
-    Containment of Q in the K-dilation of P needs the mixed half-width sum
-    |U Q-axes| . hw to stay within K hw on every P-axis; the sum depends
-    only on the angle gap, so the first infeasible gap bounds the window.
+    Containment needs a containment window with no negative axis; the
+    window depends only on the angle gap, and serves both directions, so
+    the first gap with a negative axis bounds the window. T when none has.
     """
-    U = plank_axes(0.0).matrix()
-    m = 1
-    while m < T:
-        V = plank_axes(wrap_angle(m * step)).matrix()
-        fwd = np.all(np.abs(U @ V.T) @ hw <= K * hw)
-        rev = np.all(np.abs(V @ U.T) @ hw <= K * hw)
-        if not (fwd or rev):
-            break
-        m += 1
-    return m
+    feasible = np.all(containment_window(step * np.arange(1, T), hw, K) >= 0, axis=-1)
+    return T if feasible.all() else int(np.argmin(feasible)) + 1
 
 
 def _containment_hits(
@@ -410,21 +401,16 @@ def _containment_hits(
     """Inner planks contained in the K-dilation of some outer lattice plank.
 
     Returns (mask over inner_centers, outer grid indices (h, 3)) or None if
-    the frame pair rules containment out entirely. Exactness: the extreme
-    corner coordinate of the inner box on an outer axis is the center offset
-    plus the mixed half-width sum, so containment is a per-axis residual
-    window around the outer grid; the window is below half the spacing,
-    making the nearest grid point the only candidate.
+    the frame pair rules containment out entirely. Containment is a
+    per-axis containment window around the outer grid; the window is below
+    half the spacing, making the nearest grid point the only candidate.
     """
-    U = outer_frame.matrix()
-    V = inner_frame.matrix()
-    s = np.abs(U @ V.T) @ hw
-    t = K * hw - s + containment_slack(K * hw)
-    if np.any(t < 0):
+    window = containment_window(inner_frame.theta - outer_frame.theta, hw, K)
+    if np.any(window < 0):
         return None
-    coords = inner_centers @ U.T
+    coords = inner_centers @ outer_frame.matrix().T
     k_cand = np.rint(coords / spacing)
-    ok = np.all(np.abs(coords - k_cand * spacing) <= t, axis=1)
+    ok = in_window(coords - k_cand * spacing, window)
     return ok, k_cand[ok].astype(np.int64)
 
 
@@ -469,27 +455,24 @@ def _comparable_hits(
 def verify_pairwise_incomparable(coll: PlankCollection) -> int:
     """Count comparable unordered pairs in the collection (0 when valid).
 
-    Exhaustive over all plank pairs, organized by slice pair so the mixed
-    half-width sums are computed once per frame pair. Used by the exhaustive
-    acceptance check at small R.
+    Exhaustive over all plank pairs, organized by slice pair so the
+    containment window is computed once per frame pair; it serves both
+    directions. Used by the exhaustive acceptance check at small R.
     """
-    mats, cents = [], []
+    thetas, mats, cents = [], [], []
     for j, spec, keys, centers in coll.iter_slices():
+        thetas.append(spec.theta)
         mats.append(spec.frame.matrix())
         cents.append(centers)
     hw, K = coll.half_widths, coll.K
-    tol_bound = K * hw + containment_slack(K * hw)
     bad = 0
     for a in range(len(cents)):
         for b in range(a, len(cents)):
             ca, cb = cents[a], cents[b]
             if ca.shape[0] == 0 or cb.shape[0] == 0:
                 continue
-            s_ab = np.abs(mats[a] @ mats[b].T) @ hw  # b-plank corners on a-axes
-            s_ba = np.abs(mats[b] @ mats[a].T) @ hw
-            t_ab = tol_bound - s_ab
-            t_ba = tol_bound - s_ba
-            if np.all(t_ab < 0) and np.all(t_ba < 0):
+            window = containment_window(thetas[b] - thetas[a], hw, K)
+            if np.any(window < 0):
                 continue
             proj_b_in_a = cb @ mats[a].T
             proj_a_in_a = ca @ mats[a].T
@@ -497,10 +480,8 @@ def verify_pairwise_incomparable(coll: PlankCollection) -> int:
             proj_a_in_b = ca @ mats[b].T
             for start in range(0, cb.shape[0], 512):
                 sl = slice(start, start + 512)
-                diff_a = np.abs(proj_a_in_a[:, None, :] - proj_b_in_a[None, sl, :])
-                in_a = np.all(diff_a <= t_ab, axis=2) if np.all(t_ab >= 0) else np.zeros(diff_a.shape[:2], bool)
-                diff_b = np.abs(proj_a_in_b[:, None, :] - proj_b_in_b[None, sl, :])
-                in_b = np.all(diff_b <= t_ba, axis=2) if np.all(t_ba >= 0) else np.zeros(diff_b.shape[:2], bool)
+                in_a = in_window(proj_a_in_a[:, None, :] - proj_b_in_a[None, sl, :], window)
+                in_b = in_window(proj_a_in_b[:, None, :] - proj_b_in_b[None, sl, :], window)
                 comparable = in_a | in_b
                 if a == b:
                     rows = np.arange(ca.shape[0])[:, None]
@@ -588,13 +569,26 @@ class RichnessTable:
     def bucket_of(self, richness_value: int) -> int:
         if richness_value < 1:
             raise ValueError("only planks with richness >= 1 are bucketed")
-        return 1 << (int(richness_value).bit_length() - 1)
+        return _dyadic_floor(int(richness_value))
 
     def serialize(self) -> str:
         lines = ["# mu count_planks"]
         for mu in sorted(self.mu_buckets):
             lines.append(f"{mu} {self.mu_buckets[mu]}")
         return "\n".join(lines) + "\n"
+
+
+def _dyadic_floor(value: int) -> int:
+    """2^floor(log2 value) for an integer value >= 1, exactly."""
+    return 1 << (value.bit_length() - 1)
+
+
+def add_dyadic_counts(buckets: dict[int, int], counts: np.ndarray) -> None:
+    """Add richness counts (each >= 1) to their buckets mu = 2^floor(log2 count)."""
+    values, n = np.unique(counts, return_counts=True)
+    for value, k in zip(values.tolist(), n.tolist()):
+        mu = _dyadic_floor(value)
+        buckets[mu] = buckets.get(mu, 0) + k
 
 
 def mu_buckets(
@@ -617,10 +611,7 @@ def mu_buckets(
         uniq_keys, counts = np.unique(keys, return_counts=True)
         n_rich += uniq_keys.size
         max_rich = max(max_rich, int(counts.max()))
-        exps = np.floor(np.log2(counts)).astype(np.int64)
-        for e, c in zip(*np.unique(exps, return_counts=True)):
-            mu = 1 << int(e)
-            buckets[mu] = buckets.get(mu, 0) + int(c)
+        add_dyadic_counts(buckets, counts)
         if keep_members:
             mem_slices.append(np.full(uniq_keys.size, j, dtype=np.int64))
             mem_keys.append(uniq_keys)
@@ -724,7 +715,9 @@ def bilinear_rich(
     lo3 = min(B_fam.points[:, 2].min(), W_fam.points[:, 2].min())
     hi3 = max(B_fam.points[:, 2].max(), W_fam.points[:, 2].max())
 
-    rects, planks = [], []
+    rects = []
+    # kept planks share their dimensions: (theta, center, frame matrix) each
+    k_thetas, k_centers, k_mats = [], [], []
     n_cross = 0
     bp = B_fam.points.astype(float)
     wp = W_fam.points.astype(float)
@@ -745,27 +738,22 @@ def bilinear_rich(
                 continue
             z_star, u = tangency_point(ci, cj)
             cand = rect_plank(z_star, u, delta, float(lo3), float(hi3))
-            if any(_planks_comparable_fast(cand, kept, K) for kept in planks):
-                continue
-            planks.append(cand)
+            U = cand.frame.matrix()
+            if k_thetas:
+                inside, holds = mutual_containment(
+                    cand.frame.theta, cand.v, U, np.array(k_thetas), np.array(k_centers),
+                    np.array(k_mats), cand.half_widths(), K,
+                )
+                if np.any(inside | holds):
+                    continue
+            k_thetas.append(cand.frame.theta)
+            k_centers.append(cand.v)
+            k_mats.append(U)
             rects.append(rect)
     rhs = (len(B_fam) * len(W_fam) / (mu * nu)) ** 0.75 + len(B_fam) / mu + len(W_fam) / nu
     return BilinearRichResult(
         count=len(rects), rhs=rhs, ratio=len(rects) / rhs, n_cross_pairs=n_cross, rects=rects
     )
-
-
-def _planks_comparable_fast(P: Lightplank, Q: Lightplank, K: float) -> bool:
-    """Comparability via the exact mixed half-width bound (no corner loop)."""
-    for inner, outer in ((P, Q), (Q, P)):
-        U = outer.frame.matrix()
-        s = np.abs(U @ inner.frame.matrix().T) @ inner.half_widths()
-        t = K * outer.half_widths() - s + containment_slack(K * outer.half_widths())
-        if np.any(t < 0):
-            continue
-        if np.all(np.abs((inner.v - outer.v) @ U.T) <= t):
-            return True
-    return False
 
 
 def _set_distance(a: np.ndarray, b: np.ndarray) -> float:

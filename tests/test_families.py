@@ -17,6 +17,7 @@ from tangencylab.families import (
     gen_maximal_separated,
     gen_random_wellspaced,
     load_family,
+    pack_grid_keys,
     unit_box,
 )
 from tangencylab.geometry import delta_gap
@@ -206,6 +207,32 @@ class TestCubeOccupancy:
     def test_empty(self):
         fam = CircleFamily(np.empty((0, 3)), 1.0, 0.0, cube_box(10.0), {})
         assert cube_occupancy(fam, 1.0).max_count == 0
+
+    def test_key_overflow_raises(self):
+        # 0.21 apart, but a cell this small puts their y indices 2^21 apart,
+        # which carries into the x field and would merge the two cells
+        pts = np.array([[0.5e-7, 0.2097152, 1.0], [1.5e-7, 0.5e-7, 1.0]])
+        fam = CircleFamily(pts, 1.0, 0.0, unit_box(), {})
+        with pytest.raises(InvalidParamsError, match="cell"):
+            cube_occupancy(fam, 1e-7)
+        assert cube_occupancy(fam, 1e-3).max_count == 1
+
+
+class TestGridKeys:
+    def test_distinct_and_lexicographic(self):
+        rng = np.random.default_rng(3)
+        idx = rng.integers(0, 1 << 21, (500, 3))
+        idx[:4] = [[0, 0, 0], [(1 << 21) - 1] * 3, [0, (1 << 21) - 1, 0], [1, 0, 0]]
+        keys = pack_grid_keys(idx, "cell")
+        assert np.unique(keys).size == np.unique(idx, axis=0).shape[0]
+        np.testing.assert_array_equal(np.argsort(keys, kind="stable"),
+                                      np.lexsort((idx[:, 2], idx[:, 1], idx[:, 0])))
+        np.testing.assert_array_equal(pack_grid_keys(idx.astype(float), "cell"), keys)
+
+    def test_field_overflow_raises(self):
+        for bad in ([-1, 0, 0], [0, 1 << 21, 0], [0, 0, 1 << 21], [0.0, 0.0, 2.0**63]):
+            with pytest.raises(InvalidParamsError, match="box"):
+                pack_grid_keys(np.array([[0, 0, 0], bad]), "box")
 
 
 class TestSerialization:

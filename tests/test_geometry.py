@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from tangencylab.errors import ConcentricError, NotNearTangentError
 from tangencylab.geometry import (
@@ -12,8 +12,12 @@ from tangencylab.geometry import (
     Lightplank,
     Rect2,
     annulus_contains_rect,
+    containment_slack,
+    containment_window,
     delta_gap,
     is_exact_tangent_int,
+    mixed_abs_matrix,
+    mutual_containment,
     plank_axes,
     plank_comparable,
     plank_contained_in_dilation,
@@ -26,6 +30,7 @@ from tangencylab.geometry import (
     tangency_rect,
     wrap_angle,
 )
+from tangencylab.planks import _comparability_window
 
 SQRT2 = math.sqrt(2.0)
 
@@ -238,6 +243,104 @@ class TestPlankComparable:
             assert plank_comparable(P, Q, K=2.0) == plank_comparable(
                 rotate_plank_z(P, phi), rotate_plank_z(Q, phi), K=2.0
             )
+
+
+_DILATIONS = (1.0, 1.5, 2.0, 3.0, 3.5)
+
+
+@st.composite
+def _boundary_plank_pairs(draw):
+    """Two planks of equal dimensions and a K probing Q in the K-dilation of P.
+
+    Returns (P, Q, K, face) where face is None for a free offset, else
+    (all windows nonnegative, step) for an offset that puts Q's extreme corner
+    on P's K-dilation face along one axis, step slacks outward (-10, 0, 10).
+    """
+    K = draw(st.sampled_from(_DILATIONS))
+    theta = draw(st.one_of(
+        st.floats(-math.pi, math.pi, exclude_max=True),
+        st.sampled_from([-math.pi, -math.pi + 1e-3, math.pi - 1e-3, math.pi - 1e-12]),
+    ))
+    if draw(st.booleans()):
+        # lattice dimensions at _comparability_window's first infeasible gap,
+        # or the last feasible one before it
+        S = draw(st.integers(1, 300))
+        A, B = 1.0, float(S)
+        T = int(math.ceil(2.0 * math.pi * math.sqrt(S)))
+        step = 2.0 * math.pi / T
+        m = _comparability_window(step, T, np.array([A, math.sqrt(A * B), B]) / 2.0, K)
+        gap = draw(st.sampled_from([m, m - 1])) * step * draw(st.sampled_from([1, -1]))
+    else:
+        side = st.floats(1e-2, 1e2)
+        A, B = sorted([draw(side), draw(side)], reverse=draw(st.booleans()))  # A < B and A > B
+        gap = draw(st.one_of(
+            st.floats(-2.0 * math.pi, 2.0 * math.pi),  # wraps past +-pi
+            st.sampled_from([math.pi, -math.pi, math.pi - 1e-9, 2.0 * math.pi - 1e-3]),
+        ))
+    P = Lightplank(frame=plank_axes(wrap_angle(theta)), v=np.array([1.0, -2.0, 3.0]), A=A, B=B)
+    Q_frame = plank_axes(wrap_angle(theta + gap))
+    hw = P.half_widths()
+    # geometric window of Q in P from the frames themselves, without slack
+    w = K * hw - np.abs(P.frame.matrix() @ Q_frame.matrix().T) @ hw
+    slack = containment_slack(K * hw)
+    if draw(st.booleans()):
+        offset = np.array([draw(st.floats(-1.5, 1.5)) for _ in range(3)]) * K * hw
+        face = None
+    else:
+        axis = draw(st.integers(0, 2))
+        step = draw(st.sampled_from([-10, 0, 10]))
+        offset = np.array([draw(st.floats(0.0, 0.9)) for _ in range(3)]) * np.maximum(w, 0.0)
+        offset[axis] = w[axis] + step * slack[axis]
+        assume(offset[axis] >= 0.0)
+        offset *= [draw(st.sampled_from([1, -1])) for _ in range(3)]
+        face = (bool(np.all(w >= 0)), step)
+    Q = Lightplank(frame=Q_frame, v=P.v + offset @ P.frame.matrix(), A=A, B=B)
+    # keep clear of the rounding band around the slack-widened window, where
+    # any two evaluations of the same comparison may differ
+    for inner, outer in ((Q, P), (P, Q)):
+        U = outer.frame.matrix()
+        margin = np.abs((inner.v - outer.v) @ U.T) - (w + slack)
+        assume(np.all(np.abs(margin) > 1e-12 * (1.0 + K * hw)))
+    return P, Q, K, face
+
+
+class TestContainmentKernel:
+    @given(_boundary_plank_pairs())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_corner_oracle(self, case):
+        P, Q, K, face = case
+        inside, holds = mutual_containment(
+            Q.frame.theta, Q.v, Q.frame.matrix(),
+            np.array([P.frame.theta]), P.v[None], P.frame.matrix()[None], P.half_widths(), K,
+        )
+        assert bool(inside[0]) == plank_contained_in_dilation(Q, P, K)
+        assert bool(holds[0]) == plank_contained_in_dilation(P, Q, K)
+        if face is not None and face[0]:
+            # on the face or inside it is contained; 10 slacks out it is not
+            assert bool(inside[0]) == (face[1] <= 0)
+
+    def test_mixed_matrix_is_frame_product(self):
+        rng = np.random.default_rng(12)
+        for t, g in rng.uniform(-2 * math.pi, 2 * math.pi, (2000, 2)):
+            U, V = plank_axes(wrap_angle(t)).matrix(), plank_axes(wrap_angle(t + g)).matrix()
+            M = mixed_abs_matrix(g)
+            np.testing.assert_allclose(M, np.abs(U @ V.T), atol=1e-14)
+            np.testing.assert_array_equal(M, M.T)
+            np.testing.assert_array_equal(M, mixed_abs_matrix(-g))
+
+    def test_point_is_zero_width_plank(self):
+        # a point's window is the dilation K hw itself, widened by the slack
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            P = _random_plank(rng)
+            K = rng.uniform(1.0, 3.0)
+            hw = P.half_widths()
+            window = containment_window(rng.uniform(-4, 4), hw, K, inner_hw=np.zeros(3))
+            np.testing.assert_array_equal(window, K * hw + containment_slack(K * hw))
+            x = P.v + (rng.uniform(-1.2, 1.2, 3) * K * hw) @ P.frame.matrix()
+            coords = np.abs((x - P.v) @ P.frame.matrix().T)
+            if np.all(np.abs(coords - K * hw) > 1e-9):
+                assert bool(np.all(coords <= window)) == plank_contains(P, x, K)
 
 
 class TestAnnulusContainsRect:

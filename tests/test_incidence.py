@@ -310,7 +310,7 @@ class TestBinDyadic:
         pts = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
         fam = CircleFamily(pts, 1.0, 0.0, unit_box(), {})
         pairs = count_ct_delta_bruteforce(fam, 0.5)
-        with pytest.raises(ValueError, match="coincident"):
+        with pytest.raises(InvalidParamsError, match="coincident"):
             bin_dyadic(pairs, fam)
 
 

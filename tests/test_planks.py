@@ -16,7 +16,14 @@ from tangencylab.families import (
     gen_random_wellspaced,
     unit_box,
 )
-from tangencylab.geometry import Lightplank, delta_gap, plank_axes, plank_comparable, rotate_plank_z, wrap_angle
+from tangencylab.geometry import (
+    Lightplank,
+    mutual_containment,
+    plank_axes,
+    plank_comparable,
+    rotate_plank_z,
+    wrap_angle,
+)
 from tangencylab.incidence import count_ct_delta_bruteforce
 from tangencylab.planks import (
     PlankCollection,
@@ -24,9 +31,9 @@ from tangencylab.planks import (
     _grid_bounds,
     _grid_sat_cells,
     _pack_idx,
-    _planks_comparable_fast,
     _row_extents,
     _sat_intersects,
+    add_dyadic_counts,
     bilinear_rich,
     enumerate_incomparable,
     mu_buckets,
@@ -34,6 +41,16 @@ from tangencylab.planks import (
     richness,
     verify_pairwise_incomparable,
 )
+
+
+def _kernel_comparable_any(P, planks, K):
+    """Whether P is comparable to some plank of `planks` by the containment kernel."""
+    inside, holds = mutual_containment(
+        P.frame.theta, P.v, P.frame.matrix(),
+        np.array([Q.frame.theta for Q in planks]), np.array([Q.v for Q in planks]),
+        np.array([Q.frame.matrix() for Q in planks]), P.half_widths(), K,
+    )
+    return bool(np.any(inside | holds))
 
 
 class TestEnumeration:
@@ -51,8 +68,8 @@ class TestEnumeration:
         rng = np.random.default_rng(0)
         for _ in range(600):
             i, j = rng.integers(0, len(planks), 2)
-            assert plank_comparable(planks[i], planks[j], 2.0) == _planks_comparable_fast(
-                planks[i], planks[j], 2.0
+            assert plank_comparable(planks[i], planks[j], 2.0) == _kernel_comparable_any(
+                planks[i], [planks[j]], 2.0
             )
 
     def test_invalid_params(self):
@@ -107,7 +124,7 @@ class TestEnumeration:
                 continue
             t = int(rng.integers(0, keys.size))
             cand = Lightplank(frame=spec.frame, v=centers[t], A=coll.A, B=coll.B)
-            assert any(_planks_comparable_fast(cand, P, coll.K) for P in members)
+            assert _kernel_comparable_any(cand, members, coll.K)
             checked += 1
         assert checked >= 150
 
@@ -355,6 +372,15 @@ class TestMuBuckets:
             assert int(np.sum((counts >= mu) & (counts < 2 * mu))) == n
         for c in counts[:20]:
             assert table.bucket_of(int(c)) in table.mu_buckets
+
+    def test_dyadic_counts_exact(self):
+        # 2^k - 1 and 2^k straddle a bucket edge; near 2^53 the float log2
+        # rounds 2^k - 1 up into the next bucket, the integer bit length does not
+        counts = np.array([1, 2, 3, 4, 7, 8, 3, 2**52 - 1, 2**53 - 1, 2**53, 2**62 - 1], dtype=np.int64)
+        buckets = {1: 5}
+        add_dyadic_counts(buckets, counts)
+        assert buckets == {1: 6, 2: 3, 4: 2, 8: 1, 2**51: 1, 2**52: 1, 2**53: 1, 2**61: 1}
+        assert list(buckets) == sorted(buckets)
 
     def test_wellspaced_concentrates_in_one_bucket(self):
         # frozen behavior at the randomized-construction scale: at least 18
