@@ -1,8 +1,9 @@
-"""Tangency-pair counting: brute force, hash-accelerated, and integer-exact.
+"""Tangency-pair counting: brute force, a planar-direction-bin sweep, and integer-exact.
 
 All counters return unordered index pairs (i < j). The brute-force scan is
-the canonical oracle; the hashed path must reproduce it exactly and only
-buys speed. The integer path decides tangency with no floating error.
+the canonical oracle; the direction-bin sweep (count_ct_delta_hashed) must
+reproduce it exactly and only buys speed. The integer path decides tangency
+with no floating error.
 """
 
 from __future__ import annotations
@@ -13,11 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParamsError
-from .families import CircleFamily, pack_grid_keys
+from .families import CircleFamily
 from .geometry import ANNULUS_THICKNESS_FACTOR, Rect2, rect_axes, rect_corners
 
-# The vectorized exact-tangency path stays in int64; coordinates above this
-# bound switch to Python integers, which cannot overflow.
+# The vectorized exact-tangency paths stay in int64; coordinate spans above
+# this bound switch to Python integers, which cannot overflow.
 _INT64_SAFE_COORD = 2**24
 
 # Coincident points would be tangent with a zero distance, which has no
@@ -75,17 +76,42 @@ class TangencyPairSet:
         return "".join(blocks)
 
 
-def _canonical(pairs_i, pairs_j) -> np.ndarray:
-    if len(pairs_i) == 0:
-        return np.empty((0, 2), dtype=np.int64)
-    arr = np.column_stack([pairs_i, pairs_j]).astype(np.int64)
-    order = np.lexsort((arr[:, 1], arr[:, 0]))
-    return arr[order]
+def _unpack_pairs(packed: np.ndarray, n: int) -> np.ndarray:
+    """Sorted pairs (i, j), i < j, from their packed keys i n + j.
+
+    Sorting one packed int64 per pair orders the pairs as lexsort on the two
+    columns would, in less time and memory.
+    """
+    packed = np.sort(packed)
+    pairs = np.empty((packed.size, 2), dtype=np.int64)
+    np.divmod(packed, n, out=(pairs[:, 0], pairs[:, 1]))
+    return pairs
 
 
 # ---------------------------------------------------------------------------
 # delta-approximate counting
 # ---------------------------------------------------------------------------
+
+# Candidate pairs verified at a time by the direction-bin sweep; bounds its
+# transient memory near 20 MB.
+_SWEEP_BLOCK = 1 << 18
+
+# Cost model of the sweep, in seconds (2 vCPUs, BLAS on one thread): per
+# point and bin (rotate, sort, search), per bin, and per candidate pair
+# verified; _SWEEP_DENSITY corrects the uniform-box estimate of candidates.
+_COST_POINT, _COST_BIN, _COST_CANDIDATE, _SWEEP_DENSITY = 1.6e-7, 3e-5, 5.5e-8, 3.0
+
+
+def _check_delta(delta: float) -> None:
+    if not (math.isfinite(delta) and delta > 0):
+        raise InvalidParamsError("delta: must be finite and positive")
+
+
+def _gaps(dx: np.ndarray, dy: np.ndarray, dz: np.ndarray) -> np.ndarray:
+    """Tangency gaps from coordinate differences: the one expression every
+    near counter decides by. It is exact under a sign flip of all three
+    differences, so both orientations of a pair give the same gap."""
+    return np.abs(np.hypot(dx, dy) - np.abs(dz))
 
 
 def count_ct_delta_bruteforce(family: CircleFamily, delta: float) -> TangencyPairSet:
@@ -94,120 +120,180 @@ def count_ct_delta_bruteforce(family: CircleFamily, delta: float) -> TangencyPai
     This is the reference implementation every accelerated path is checked
     against.
     """
-    if not delta > 0:
-        raise ValueError("delta must be positive")
+    _check_delta(delta)
     pts = family.points.astype(float)
     n = pts.shape[0]
-    out_i: list[np.ndarray] = []
-    out_j: list[np.ndarray] = []
-    if n >= 2:
-        block = max(1, int(4e6) // max(n, 1))
-        for start in range(0, n - 1, block):
-            stop = min(start + block, n - 1)
-            rows = np.arange(start, stop)
-            dx = pts[rows, None, 0] - pts[None, :, 0]
-            dy = pts[rows, None, 1] - pts[None, :, 1]
-            dz = pts[rows, None, 2] - pts[None, :, 2]
-            gaps = np.abs(np.hypot(dx, dy) - np.abs(dz))
-            ii, jj = np.nonzero(gaps < delta)
-            keep = rows[ii] < jj
-            out_i.append(rows[ii][keep])
-            out_j.append(jj[keep])
-    pairs = _canonical(np.concatenate(out_i) if out_i else [], np.concatenate(out_j) if out_j else [])
-    return TangencyPairSet(pairs=pairs, delta=delta, family_hash=family.provenance_hash())
-
-
-def count_ct_delta_hashed(family: CircleFamily, delta: float, cell: float | None = None) -> TangencyPairSet:
-    """Grid-accelerated near-tangency counting; identical pair set to brute force.
-
-    Points are bucketed into a uniform grid. A near-tangent pair constrains
-    planar distance and height difference to agree within delta, so for any
-    two occupied cells an interval test on (planar distance range, height
-    range) either rules all their pairs out or passes them to exact
-    verification with the gap formula. The cell size trades pruning against
-    bookkeeping and cannot affect the result.
-    """
-    if not delta > 0:
-        raise ValueError("delta must be positive")
-    pts = family.points.astype(float)
-    n = pts.shape[0]
-    if n < 2:
-        return TangencyPairSet(
-            pairs=np.empty((0, 2), dtype=np.int64), delta=delta,
-            family_hash=family.provenance_hash(),
-        )
-    lo = pts.min(axis=0)
-    extent = float(max(pts.max(axis=0) - lo)) or 1.0
-    if cell is None:
-        # delta-sized cells are ideal for pruning but keep the occupied-cell
-        # table bounded on fine thresholds.
-        cell = max(delta, extent / 48.0)
-    idx = np.floor((pts - lo) / cell)
-    keys = pack_grid_keys(idx, "cell")
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    uniq_keys, starts = np.unique(sorted_keys, return_index=True)
-    ends = np.append(starts[1:], n)
-    cell_idx = idx[order[starts]]
-    ncells = uniq_keys.shape[0]
-
-    sizes = ends - starts
-    out_i: list[np.ndarray] = []
-    out_j: list[np.ndarray] = []
-
-    def verify(cands_a: np.ndarray, cands_b: np.ndarray):
-        if cands_a.size == 0:
-            return
-        pa, pb = pts[cands_a], pts[cands_b]
-        gaps = np.abs(np.hypot(pa[:, 0] - pb[:, 0], pa[:, 1] - pb[:, 1]) - np.abs(pa[:, 2] - pb[:, 2]))
-        keep = gaps < delta
-        out_i.append(np.minimum(cands_a[keep], cands_b[keep]))
-        out_j.append(np.maximum(cands_a[keep], cands_b[keep]))
-
-    def expand_cross(aa: np.ndarray, bb: np.ndarray):
-        """All point pairs across the distinct cell pairs (aa[k], bb[k])."""
-        na, nb = sizes[aa], sizes[bb]
-        per_pair = na * nb
-        offsets = np.concatenate([[0], np.cumsum(per_pair)])
-        total = int(offsets[-1])
-        chunk = int(4e6)
-        for lo_t in range(0, total, chunk):
-            hi_t = min(lo_t + chunk, total)
-            flat = np.arange(lo_t, hi_t)
-            pid = np.searchsorted(offsets, flat, side="right") - 1
-            local = flat - offsets[pid]
-            ia = order[starts[aa[pid]] + local // nb[pid]]
-            ib = order[starts[bb[pid]] + local % nb[pid]]
-            verify(ia, ib)
-
-    block = max(1, int(2e6) // max(ncells, 1))
-    for cstart in range(0, ncells, block):
-        cstop = min(cstart + block, ncells)
-        rows = np.arange(cstart, cstop)
-        di = np.abs(cell_idx[rows, None, 0] - cell_idx[None, :, 0])
-        dj = np.abs(cell_idx[rows, None, 1] - cell_idx[None, :, 1])
-        dk = np.abs(cell_idx[rows, None, 2] - cell_idx[None, :, 2])
-        pd_min = cell * np.hypot(np.maximum(di - 1.0, 0.0), np.maximum(dj - 1.0, 0.0))
-        pd_max = cell * np.hypot(di + 1.0, dj + 1.0)
-        hz_min = cell * np.maximum(dk - 1.0, 0.0)
-        hz_max = cell * (dk + 1.0)
-        feasible = (pd_min - hz_max < delta) & (pd_max - hz_min > -delta)
-        # scan each unordered cell pair once
-        aa, bb = np.nonzero(feasible)
-        aa = rows[aa]
-        keep = aa < bb
-        expand_cross(aa[keep], bb[keep])
-
-    # within-cell pairs (always feasible: both intervals start at 0)
-    for a in np.nonzero(sizes >= 2)[0]:
-        members = order[starts[a]:ends[a]]
-        ii, jj = np.triu_indices(members.shape[0], k=1)
-        verify(members[ii], members[jj])
-
-    pairs = _canonical(
-        np.concatenate(out_i) if out_i else [], np.concatenate(out_j) if out_j else []
+    found = [np.empty(0, dtype=np.int64)]
+    block = max(1, int(4e6) // max(n, 1))
+    for start in range(0, n - 1, block):
+        rows = np.arange(start, min(start + block, n - 1))
+        ii, jj = np.nonzero(_gaps(*(pts[rows, None, k] - pts[None, :, k] for k in range(3))) < delta)
+        ii = rows[ii]
+        keep = ii < jj
+        found.append(ii[keep] * n + jj[keep])
+    return TangencyPairSet(
+        pairs=_unpack_pairs(np.concatenate(found), n), delta=delta, family_hash=family.provenance_hash()
     )
-    return TangencyPairSet(pairs=pairs, delta=delta, family_hash=family.provenance_hash())
+
+
+def count_ct_delta_hashed(family: CircleFamily, delta: float) -> TangencyPairSet:
+    """Near-tangent pairs by a sweep over planar-direction bins; identical pair set to brute force.
+
+    A pair with gap |r - |dz|| below delta, r the planar distance of the
+    centres, lies within delta of the light cone along its planar direction
+    phi. Planar directions are split into B bins of width alpha = 2 pi / B;
+    bin b, centred at theta_b, sees each point through
+    s = x cos theta_b + y sin theta_b - z and w = y cos theta_b - x sin theta_b.
+    Oriented so that dz >= 0 (by index when dz = 0), a pair is owned by the
+    bin of its direction phi and is emitted from that bin only, so it is
+    found exactly once. In its own bin, with r <= E from _planar_reach,
+
+        ds in [-delta - E (1 - cos(alpha/2)), delta],   |dw| <= E sin(alpha/2):
+
+    the pair lies in a delta x sqrt(delta E) tangency rectangle when alpha
+    is about sqrt(8 delta / E). Each bin sorts the points by (w-cell, s),
+    w-cells as wide as the w-reach, and joins each point with searchsorted
+    to the s-window of its own cell and the next. Candidates pass a cone
+    filter (the bounds above with r < dz + delta in place of E), then the
+    gap expression of count_ct_delta_bruteforce, so borderline pairs decide
+    identically. Every bound is widened by a rounding margin from the
+    largest coordinates, and alpha/2 by 1e-9, so that no rounding, at a bin
+    edge or elsewhere, drops a pair.
+
+    Cost: B sorts and searches of the n points, plus one verification per
+    candidate; _direction_bins picks B from a cost estimate on n, delta and
+    the family's extents. The name is kept from the grid-hash counter the
+    sweep replaced, which the acceptance suite and the benchmark call.
+    """
+    _check_delta(delta)
+    pts = family.points.astype(float)
+    n = pts.shape[0]
+    packed = _direction_sweep(pts, delta, _direction_bins(pts, delta)) if n >= 2 else np.empty(0, np.int64)
+    return TangencyPairSet(pairs=_unpack_pairs(packed, n), delta=delta, family_hash=family.provenance_hash())
+
+
+def _planar_reach(pts: np.ndarray, delta: float) -> float:
+    """A bound E on the planar distance r of any near-tangent pair.
+
+    r is at most the planar diameter, itself at most the bounding-box
+    diagonal, and below dz + delta <= Z + delta, Z the height span.
+    """
+    span = pts.max(axis=0) - pts.min(axis=0)
+    return min(math.hypot(span[0], span[1]), float(span[2]) + delta)
+
+
+def _direction_bins(pts: np.ndarray, delta: float) -> int:
+    """The bin count B that minimises the sweep's estimated time.
+
+    Candidates per bin are estimated as if the points filled the bounding
+    box evenly: the n^2 / 2 pairs times the shares of the s- and w-extents
+    that the s-window and two w-cells cover. Few bins mean wide windows and
+    many candidates; many bins, a sort and a search of every point each.
+    """
+    n = pts.shape[0]
+    reach = _planar_reach(pts, delta)
+    if reach == 0:
+        return 1
+    span = pts.max(axis=0) - pts.min(axis=0)
+    w_extent = math.hypot(span[0], span[1])
+    s_extent = w_extent + float(span[2])
+    best_bins, best_cost = 1, math.inf
+    # bins from 1 up in steps of about sqrt(2), until the s-slack falls below
+    # delta / 4 (more bins then only add sorts) or 2^20 bins are reached
+    for e in range(41):
+        bins = math.ceil(2 ** (e / 2))
+        half = math.pi / bins
+        s_slack = reach * (1 - math.cos(half))
+        s_window = 4 * delta + 2 * s_slack
+        w_window = 2 * reach * math.sin(min(half, math.pi / 2))
+        share = min(1.0, s_window / s_extent) * min(1.0, w_window / w_extent)
+        candidates = n * n / 2 * min(1.0, _SWEEP_DENSITY * share)
+        cost = bins * (n * _COST_POINT + _COST_BIN + candidates * _COST_CANDIDATE)
+        if cost < best_cost:
+            best_bins, best_cost = bins, cost
+        if s_slack < delta / 4:
+            break
+    return best_bins
+
+
+def _direction_sweep(pts: np.ndarray, delta: float, bins: int) -> np.ndarray:
+    """Packed keys i n + j (i < j, unsorted) of the near-tangent pairs of pts.
+
+    Any number of planar-direction bins gives the same pairs;
+    count_ct_delta_hashed describes the method.
+    """
+    n = pts.shape[0]
+    x, y, z = (np.ascontiguousarray(pts[:, k]) for k in range(3))
+    reach = _planar_reach(pts, delta)
+    eps = np.finfo(float).eps
+    # a generous multiple of the rounding of any sum of coordinates below
+    margin = 64 * eps * (float(np.abs(pts).max(axis=0).sum()) + delta)
+    alpha = 2 * math.pi / bins
+    half = alpha / 2 + 1e-9
+    sin_h, vers_h = math.sin(min(half, math.pi / 2)), 1 - math.cos(min(half, math.pi))
+    s_reach = delta + reach * vers_h + margin  # |ds| of a pair its bin owns
+    cell = reach * sin_h + margin  # |dw| of a pair its bin owns
+    found = [np.empty(0, dtype=np.int64)]
+    for b in range(bins):
+        theta = (b + 0.5) * alpha - math.pi
+        s = x * math.cos(theta) + y * math.sin(theta) - z
+        w = y * math.cos(theta) - x * math.sin(theta)
+        s -= s.min()
+        # one sorted key per point: w-cells are blocks `stride` apart, wider
+        # than any s-window, and sorted by s within
+        stride = 2 * (float(s.max()) + 2 * s_reach)
+        key = np.floor((w - w.min()) / cell) * stride + s
+        order = np.argsort(key)
+        key = key[order]
+        slack = 8 * eps * (float(key[-1]) + stride)
+        # each unordered pair within s_reach is a candidate once: in one cell
+        # from the point that sorts first, across cells from the lower cell
+        first = np.concatenate([np.arange(1, n + 1), np.searchsorted(key, key + (stride - s_reach - slack))])
+        stop = np.searchsorted(
+            key, np.concatenate([key + (s_reach + slack), key + (stride + s_reach + slack)]), side="right"
+        )
+        xs, ys, zs, ws, ss = x[order], y[order], z[order], w[order], s[order]
+        for ii, jj in _window_blocks(first, stop, n):
+            # filter in sorted positions: dz >= 0 orients the bounds, and
+            # pairs with dz = 0 pass the s-test either way round
+            dz = zs[jj] - zs[ii]
+            room = np.abs(dz) + delta  # bounds r
+            ds = (ss[jj] - ss[ii]) * np.sign(dz)
+            keep = ((ds <= delta + margin) & (ds >= -delta - room * vers_h - margin)
+                    & (np.abs(ws[jj] - ws[ii]) <= room * sin_h + margin))
+            ii, jj, dz = ii[keep], jj[keep], dz[keep]
+            dx, dy = xs[jj] - xs[ii], ys[jj] - ys[ii]
+            near = _gaps(dx, dy, dz) < delta
+            i, j, dx, dy, dz = order[ii[near]], order[jj[near]], dx[near], dy[near], dz[near]
+            # the pair's own bin, from its direction with dz >= 0 (by index
+            # when dz = 0); + 0.0 turns -0.0 into 0.0, since arctan2 gives
+            # -pi for (-0.0, x < 0) and pi for (0.0, x < 0), and the pair
+            # must get one bin whichever way round it was found
+            sign = np.where((dz > 0) | ((dz == 0) & (j > i)), 1.0, -1.0)
+            phi = np.arctan2(sign * dy + 0.0, sign * dx + 0.0)
+            own = np.minimum(np.floor((phi + math.pi) / alpha), bins - 1) == b
+            found.append(np.minimum(i, j)[own] * n + np.maximum(i, j)[own])
+    return np.concatenate(found)
+
+
+def _window_blocks(first: np.ndarray, stop: np.ndarray, n: int):
+    """Candidate pairs (i, j) of the windows, in blocks of at most _SWEEP_BLOCK pairs.
+
+    Window f holds j in [first[f], stop[f]) with i = f mod n; a window
+    larger than a block makes a block of its own.
+    """
+    counts = stop - first
+    ends = np.cumsum(counts)
+    f0 = 0
+    while f0 < counts.size:
+        base = int(ends[f0 - 1]) if f0 else 0
+        f1 = max(int(np.searchsorted(ends, base + _SWEEP_BLOCK, side="right")), f0 + 1)
+        c = counts[f0:f1]
+        total = int(ends[f1 - 1]) - base
+        if total:
+            yield (np.repeat(np.arange(f0, f1) % n, c),
+                   np.arange(total) + np.repeat(first[f0:f1] - (ends[f0:f1] - c - base), c))
+        f0 = f1
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +314,12 @@ def count_ct0_exact(family: CircleFamily, with_bins: bool = True) -> TangencyPai
       about Z^2 to build the stencil and n |S_Z| log n to look up; |S_Z|
       grows like Z log Z (128 cone vectors at Z = 20, 11,344 at Z = 1024);
     - the all-pairs scan (_ct0_vectorized), n^2 / 2 integer tests;
-    - Python integers (_ct0_python), for coordinates above _INT64_SAFE_COORD.
+    - Python integers (_ct0_python), for coordinate spans above
+      _INT64_SAFE_COORD.
+
+    Points are first taken relative to their per-axis minimum, so a
+    translated family takes the same path as the original; a span that
+    does not fit in int64 is refused.
 
     Dispatch: the stencil runs when 2 Z (4 + bit_length(Z)) <= n and its
     packed keys fit in int64; otherwise the all-pairs scan runs. Z (4 +
@@ -250,10 +341,15 @@ def count_ct0_exact(family: CircleFamily, with_bins: bool = True) -> TangencyPai
             pairs=np.empty((0, 2), dtype=np.int64), delta=0.0,
             family_hash=family.provenance_hash(), by_distance={} if with_bins else None,
         )
-    if np.abs(pts).max() > _INT64_SAFE_COORD:
+    # tangency does not change under translation, so only the spans matter
+    low = [int(v) for v in pts.min(axis=0)]
+    if max(int(v) - lo for v, lo in zip(pts.max(axis=0), low)) >= 2**63:
+        raise InvalidParamsError("points: a coordinate span does not fit in int64")
+    pts = pts - np.array(low, dtype=np.int64)  # exact: each result fits
+    if pts.max() > _INT64_SAFE_COORD:
         found = _ct0_python(pts)
     else:
-        Z = int(pts[:, 2].max() - pts[:, 2].min())
+        Z = int(pts[:, 2].max())
         found = _ct0_stencil(pts) if 2 * Z * (4 + Z.bit_length()) <= n else None
         if found is None:
             found = _ct0_vectorized(pts)
@@ -412,7 +508,9 @@ def bin_dyadic(pairs: TangencyPairSet, family: CircleFamily) -> TangencyPairSet:
     dists = np.linalg.norm(diff, axis=1)
     if np.any(dists == 0.0):
         raise InvalidParamsError(_COINCIDENT)
-    exps = np.floor(np.log2(dists)).astype(np.int64)
+    # frexp gives d = m 2^e with m in [0.5, 1), so floor(log2 d) = e - 1
+    # exactly; np.log2 rounds up to an integer just below a power of two
+    exps = np.frexp(dists)[1].astype(np.int64) - 1
     by_distance = {float(2.0 ** int(e)): pairs.pairs[exps == e] for e in np.unique(exps)}
     return TangencyPairSet(
         pairs=pairs.pairs, delta=pairs.delta, family_hash=pairs.family_hash, by_distance=by_distance

@@ -120,6 +120,15 @@ class TestCount:
         empty.write_text("# generator=x\n")
         assert run_cli("count", "--family", str(empty), "--delta", "0.1") == 2
 
+    @pytest.mark.parametrize("oracle", [(), ("--oracle",)])
+    def test_non_finite_delta_exit_2(self, tmp_path, capsys, oracle):
+        fam = tmp_path / "cl.txt"
+        run_cli("generate", "--kind", "clamshell", "--N", "5", "-o", str(fam))
+        capsys.readouterr()
+        for delta in ("inf", "nan"):
+            assert run_cli("count", "--family", str(fam), "--delta", delta, *oracle) == 2
+            assert "delta" in capsys.readouterr().err
+
     def test_missing_delta(self, tmp_path):
         fam = tmp_path / "cl.txt"
         run_cli("generate", "--kind", "clamshell", "--N", "5", "-o", str(fam))

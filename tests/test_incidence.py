@@ -12,8 +12,12 @@ from tangencylab.errors import InvalidParamsError
 from tangencylab.experiments import light_ray_degeneracy
 from tangencylab.families import CircleFamily, gen_clamshell, gen_integer_lattice, gen_maximal_separated, unit_box
 from tangencylab.geometry import Rect2, annulus_contains_rect, is_exact_tangent_int, tangency_rect
+from tangencylab import incidence
 from tangencylab.incidence import (
+    TangencyPairSet,
     _ct0_stencil,
+    _direction_sweep,
+    _unpack_pairs,
     bin_dyadic,
     count_ct0_exact,
     count_ct_delta_bruteforce,
@@ -74,18 +78,26 @@ class TestHashedEquivalence:
         empty = CircleFamily(np.empty((0, 3)), 1.0, 0.0, unit_box(), {})
         assert len(count_ct_delta_hashed(empty, 0.1)) == 0
 
-    def test_cell_size_cannot_change_result(self):
-        fam = clustered_unit_family(5, 300)
-        ref = count_ct_delta_bruteforce(fam, 0.02).as_set()
-        for cell in (0.003, 0.02, 0.11, 0.7):
-            assert count_ct_delta_hashed(fam, 0.02, cell=cell).as_set() == ref
+    @pytest.mark.parametrize("grid", [False, True])
+    def test_bin_count_cannot_change_result(self, grid):
+        # the grid has many pairs along an axis, whose direction lies on a
+        # bin edge for every even bin count
+        if grid:
+            fam = gen_maximal_separated(24, 3, "annular").rescale(1 / 24)
+        else:
+            fam = clustered_unit_family(5, 300)
+        ref = count_ct_delta_bruteforce(fam, 0.02).pairs
+        assert len(ref) > 1000
+        for bins in (1, 2, 3, 4, 7, 8, 25, 64, 400):
+            got = _unpack_pairs(_direction_sweep(fam.points.astype(float), 0.02, bins), len(fam))
+            np.testing.assert_array_equal(got, ref)
 
-    def test_key_overflow_raises(self):
-        # a cell this small puts grid indices past the 21-bit key fields,
-        # where packed keys of distinct cells would collide
-        fam = random_unit_family(3, 300)
-        with pytest.raises(InvalidParamsError, match="cell"):
-            count_ct_delta_hashed(fam, 1e-2, cell=1e-7)
+    @pytest.mark.parametrize("delta", [float("inf"), float("nan"), 0.0, -1e-3])
+    def test_delta_must_be_finite_and_positive(self, delta):
+        fam = random_unit_family(3, 30)
+        for counter in (count_ct_delta_bruteforce, count_ct_delta_hashed):
+            with pytest.raises(InvalidParamsError, match="delta"):
+                counter(fam, delta)
 
     def test_deterministic_order(self):
         fam = random_unit_family(9, 200)
@@ -93,6 +105,73 @@ class TestHashedEquivalence:
         b = count_ct_delta_hashed(fam, 0.05)
         np.testing.assert_array_equal(a.pairs, b.pairs)
         assert np.all(a.pairs[:, 0] < a.pairs[:, 1])
+
+
+@st.composite
+def _near_case(draw):
+    """Points, a threshold and a bin count shaped to reach the sweep's edge cases.
+
+    spread: uniform points, n from 0 up; edges: pairs whose planar direction
+    is a bin edge or centre of the drawn bin count, or an axis; flat: pairs
+    of equal height (dz = 0); concentric: one centre for every point (E = 0);
+    grid: a small lattice, rich in exact tangencies along the axes. The
+    points may be moved by about 1e6. The threshold is the gap of the last
+    pair, one ulp above or below it, or a free value, up to far beyond the
+    family's extent.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["spread", "edges", "flat", "concentric", "grid"]))
+    bins = draw(st.integers(1, 24))
+    n = draw(st.one_of(st.sampled_from([0, 1, 2]), st.integers(3, 30)))
+    pts = np.column_stack([rng.uniform(-1, 1, n), rng.uniform(-1, 1, n), rng.uniform(1, 2, n)])
+    if kind == "grid":
+        m = draw(st.integers(1, 3))
+        g = np.arange(m + 1.0)
+        pts = np.array([(a, b, m + c) for a in g for b in g for c in g]) * draw(st.sampled_from([1.0, 0.1]))
+        pts = pts[rng.permutation(len(pts))]
+    if kind == "concentric":
+        pts[:, :2] = rng.uniform(-1, 1, 2)
+    added = []
+    for _ in range(draw(st.integers(1, 6)) if kind in ("edges", "flat") else 0):
+        p = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(1, 2)])
+        r = rng.uniform(0.01, 1.0)
+        if kind == "flat":
+            phi = rng.uniform(-math.pi, math.pi)
+            step = [r * math.cos(phi), r * math.sin(phi), 0.0]
+        else:
+            dz = r * draw(st.sampled_from([1.0, 1 + 1e-9, 1 - 1e-3, 1 + 1e-3])) * draw(st.sampled_from([1, -1]))
+            where = draw(st.sampled_from(["edge", "centre", "axis"]))
+            if where == "axis":
+                step = [*draw(st.sampled_from([(r, 0.0), (0.0, r), (-r, 0.0), (0.0, -r)])), dz]
+            else:
+                phi = -math.pi + (draw(st.integers(0, bins)) + 0.5 * (where == "centre")) * 2 * math.pi / bins
+                step = [r * math.cos(phi), r * math.sin(phi), dz]
+        added += [p, p + step]
+    if added:
+        pts = np.vstack([pts, added])
+    pts = pts + np.array(draw(st.tuples(*[st.sampled_from([0.0, 1e6, -1e6, 1e6 + 0.5])] * 3)))
+    mode = draw(st.sampled_from(["at", "above", "below", "above", "below", "free"]))
+    if mode == "free" or len(pts) < 2:
+        delta = draw(st.sampled_from([1e-6, 1e-3, 0.05, 0.5, 10.0, 1e7]))
+    else:
+        (xi, yi, zi), (xj, yj, zj) = pts[-2], pts[-1]
+        gap = np.abs(np.hypot(xi - xj, yi - yj) - np.abs(zi - zj))
+        delta = {"at": gap, "above": np.nextafter(gap, np.inf), "below": np.nextafter(gap, -np.inf)}[mode]
+        delta = float(max(delta, np.nextafter(0.0, 1.0)))
+    return pts, delta, bins
+
+
+class TestNearDifferential:
+    @given(_near_case())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_bruteforce(self, case):
+        pts, delta, bins = case
+        fam = CircleFamily(pts, 1.0, 0.0, unit_box(), {})
+        ref = count_ct_delta_bruteforce(fam, delta).pairs
+        np.testing.assert_array_equal(count_ct_delta_hashed(fam, delta).pairs, ref)
+        if len(pts) >= 2:
+            for b in (1, bins, 4 * bins):
+                np.testing.assert_array_equal(_unpack_pairs(_direction_sweep(pts, delta, b), len(pts)), ref)
 
 
 class TestExactCount:
@@ -143,13 +222,31 @@ class TestExactCount:
         cases = [
             np.array([[0, 0, 1], [0, 0, 1], [1, 0, 2]]),  # all-pairs scan
             np.vstack([lattice, lattice[60]]),  # stencil: Z = 4, 126 points
-            np.array([[0, 0, 1], [0, 0, 1], [1, 0, 2]]) + 2**40,  # Python integers
+            np.array([[0, 0, 1], [0, 0, 1], [1, 0, 2]]) * 2**30,  # Python integers
         ]
         for pts in cases:
             with pytest.raises(InvalidParamsError, match="coincident"):
                 count_ct0_exact(_integer_family(pts))
         with pytest.raises(InvalidParamsError, match="coincident"):
             _ct0_stencil(cases[0])
+
+    def test_translated_lattice_matches_original(self, monkeypatch):
+        # only the spans matter: the moved lattice must not fall to Python integers
+        fam = gen_integer_lattice(12)
+        moved = _integer_family(fam.points.astype(np.int64) + 2**30)
+        a = count_ct0_exact(fam)
+        monkeypatch.setattr(incidence, "_ct0_python", None)
+        b = count_ct0_exact(moved)
+        assert len(a) == 40400
+        np.testing.assert_array_equal(a.pairs, b.pairs)
+        assert list(a.by_distance) == list(b.by_distance)
+        for D, arr in a.by_distance.items():
+            np.testing.assert_array_equal(arr, b.by_distance[D])
+
+    def test_span_beyond_int64_refused(self):
+        fam = _integer_family([[-2**62, 0, 1], [2**62, 0, 2]])
+        with pytest.raises(InvalidParamsError, match="int64"):
+            count_ct0_exact(fam)
 
     def test_lattice_closed_form_beyond_oracle_reach(self):
         # a cone vector (dx, dy, dz), dz > 0, joins (n+1-|dx|)(n+1-|dy|)(n+1-dz)
@@ -212,7 +309,8 @@ def _integer_points(draw):
     dense: height span Z <= 6 and enough points for the stencil's dispatch
     rule; wide: few points over a large span, so the all-pairs scan runs;
     ray: points on one light ray among a few others; huge: wide or ray
-    points moved past 2^24, so Python integers run. Coordinates may be
+    points scaled by 2^25, so their span passes 2^24 and Python integers
+    run. Every kind may be moved by up to 2^61; coordinates may be
     negative.
     """
     kind = draw(st.sampled_from(["dense", "wide", "ray", "huge"]))
@@ -235,10 +333,11 @@ def _integer_points(draw):
             ray = np.array([[t * sx * a, t * sy * b, t * sz * c] for t in ts])
             pts = np.unique(np.vstack([ray, pts[:5]]), axis=0)
             pts = pts[draw(st.permutations(range(len(pts))))]
+    pts = pts.astype(np.int64) * (2**25 if kind == "huge" else 1)
     base = np.array(draw(st.tuples(*[st.integers(-100, 100)] * 3)))
-    if kind == "huge":
+    if draw(st.booleans()):
         base = base + draw(st.integers(2**24 + 1, 2**61))
-    return pts.astype(np.int64) + base
+    return pts + base
 
 
 class TestExactDifferential:
@@ -252,8 +351,10 @@ class TestExactDifferential:
         assert list(ct.by_distance) == sorted(set(expected.values()))
         for D, arr in ct.by_distance.items():
             assert {(int(i), int(j)) for i, j in arr} == {p for p, e in expected.items() if e == D}
-        found = _ct0_stencil(pts)
-        if found is not None:  # the stencil kernel on every shape, whichever path ran
+        # the stencil kernel on every shape but huge (its stencil grows as the
+        # square of the height span), whichever path ran
+        found = _ct0_stencil(pts) if np.ptp(pts, axis=0).max() <= 2**24 else None
+        if found is not None:
             assert found[0].tolist() == ct.pairs.tolist()
         if np.abs(pts).max() <= 2**24:  # ray moments of huge points wrap int64
             assert light_ray_degeneracy(fam, ct) == _rays_by_unique(fam, ct)
@@ -281,8 +382,9 @@ class TestBinDyadic:
         fam = CircleFamily(pts, 1.0, 0.0, unit_box(), {})
         pairs = count_ct_delta_bruteforce(fam, 0.5)
         binned = bin_dyadic(pairs, fam)
+        # frexp: d = m 2^e with m in [0.5, 1), so floor(log2 d) = e - 1 exactly
         dists = {
-            float(2 ** math.floor(math.log2(np.linalg.norm(pts[i] - pts[j]))))
+            float(2.0 ** (math.frexp(np.linalg.norm(pts[i] - pts[j]))[1] - 1))
             for i, j in pairs.pairs
         }
         assert set(binned.by_distance) == dists
@@ -305,6 +407,28 @@ class TestBinDyadic:
         binned = bin_dyadic(pairs, fam)
         sizes = {D: arr.shape[0] for D, arr in binned.by_distance.items()}
         assert sizes == {0.125: 1, 0.25: 1, 0.5: 2, 1.0: 2}
+
+    def test_exact_just_below_powers_of_two(self):
+        # distances 1 to 4 ulp below 2^k belong to bucket 2^(k-1), 2^k itself
+        # to bucket 2^k; np.log2 rounds the former up to k
+        dists, expected = [], []
+        for k in range(-10, 10):
+            d = 2.0**k
+            dists.append(d)
+            expected.append(d)
+            for _ in range(4):
+                d = np.nextafter(d, 0.0)
+                dists.append(d)
+                expected.append(2.0 ** (k - 1))
+        # pair (0, m) lies along the x axis at distance dists[m - 1], exactly
+        pts = np.column_stack([[0.0, *dists], np.zeros(len(dists) + 1), np.ones(len(dists) + 1)])
+        fam = CircleFamily(pts, 1.0, 0.0, unit_box(), {})
+        m = np.arange(1, len(dists) + 1)
+        pairs = TangencyPairSet(pairs=np.column_stack([np.zeros_like(m), m]), delta=1.0)
+        assert np.linalg.norm(pts[m] - pts[0], axis=1).tolist() == dists
+        binned = bin_dyadic(pairs, fam)
+        got = {int(j): D for D, arr in binned.by_distance.items() for j in arr[:, 1]}
+        assert [got[int(j)] for j in m] == expected
 
     def test_coincident_rejected(self):
         pts = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
