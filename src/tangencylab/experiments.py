@@ -34,7 +34,7 @@ from .families import (
     gen_random_wellspaced,
     wellspaced_candidates,
 )
-from .geometry import Circle3, containment_window, in_window, mutual_containment
+from .geometry import Circle3, comparability_graph, containment_window, frame_coords, in_window
 from .incidence import bin_dyadic, count_ct0_exact, count_ct_delta_hashed
 from .planks import (
     PlankCollection,
@@ -438,17 +438,10 @@ def run_lemma28_check(family: CircleFamily, delta: float, A: float = 2.0) -> Exp
 def _lemma28_extract(family: CircleFamily, bucket: np.ndarray, delta: float, D: float, A: float):
     """Greedy plank family for one distance bucket plus coverage verification.
 
-    A candidate plank is dropped exactly when it is contained in the
-    A-dilation of an earlier kept plank, so every pair is covered by the
-    A-dilation of its recorded witness; the verification below re-tests
-    each witness with the membership predicate. The kept planks share
-    dimensions, so one containment window per angle gap serves both
-    directions; a pair endpoint is a plank with zero half-widths.
+    Each pair lifts to a delta x sqrt(2 delta D) x 2D plank at its midpoint;
+    the greedy runs on those planks in bucket order. Returns (kept planks,
+    coverage_ok, incomparability violations).
     """
-    pts = family.points.astype(float)
-    m = bucket.shape[0]
-    cand_thetas = np.empty(m)
-    cand_centers = np.empty((m, 3))
     circles: dict[int, Circle3] = {}
 
     def circ(idx: int) -> Circle3:
@@ -457,74 +450,66 @@ def _lemma28_extract(family: CircleFamily, bucket: np.ndarray, delta: float, D: 
         return circles[idx]
 
     planks = [pair_plank(circ(i), circ(j), delta, length=2.0 * D) for i, j in bucket]
-    for t, P in enumerate(planks):
-        cand_thetas[t] = P.frame.theta
-        cand_centers[t] = P.v
+    ends = family.points.astype(float)[bucket.reshape(-1, 2)]
+    kept_idx, _, coverage_ok, violations = _plank_sum_greedy(planks, ends, A)
+    return [planks[t] for t in kept_idx], coverage_ok, violations
+
+
+def _plank_sum_greedy(planks: list, ends: np.ndarray, A: float):
+    """Greedy incomparable family of same-shape candidate planks, with witnesses.
+
+    Candidate t, with pair endpoints ends[t], is dropped exactly when it lies
+    in the A-dilation of an earlier kept plank, or when an earlier kept plank
+    in its A-dilation covers both endpoints directly; the first such kept
+    plank, in that order of preference, is its witness. Only pairs the
+    comparability graph joins can be comparable, so each candidate looks at
+    its graph neighbours alone, in index order, and the kept list and
+    witnesses are those of a scan over all kept planks. The verification
+    re-tests every witness with the membership predicate (a pair endpoint is
+    a plank with zero half-widths) and falls back to an existence scan.
+    Returns (kept indices, witness per candidate, coverage_ok, comparable
+    kept pairs).
+    """
+    m = len(planks)
+    thetas = np.array([P.frame.theta for P in planks])
+    centers = np.array([P.v for P in planks]).reshape(m, 3)
+    mats = np.array([P.frame.matrix() for P in planks]).reshape(m, 3, 3)
     hw = planks[0].half_widths() if planks else np.zeros(3)
     point_window = containment_window(0.0, hw, A, inner_hw=np.zeros(3))
 
-    def covers(P, i, j) -> bool:
-        offsets = (pts[[int(i), int(j)]] - P.v) @ P.frame.matrix().T
-        return bool(in_window(offsets, point_window).all())
+    def covers(k, t) -> bool:
+        return bool(in_window(frame_coords(mats[k], ends[t] - centers[k]), point_window).all())
 
-    kept_idx: list[int] = []
-    kept_mats = np.empty((m, 3, 3))
-    kept_thetas = np.empty(m)
-    kept_centers = np.empty((m, 3))
-    witness = np.empty(m, dtype=np.int64)
-    n_kept = 0
+    earlier, later, inside, holds = comparability_graph(thetas, centers, mats, hw, A)
+    edge_start = np.searchsorted(later, np.arange(m + 1))
+    kept = np.zeros(m, dtype=bool)
+    witness = np.arange(m)
     for t in range(m):
-        if n_kept:
-            inside, holds = mutual_containment(
-                cand_thetas[t], cand_centers[t], planks[t].frame.matrix(),
-                kept_thetas[:n_kept], kept_centers[:n_kept], kept_mats[:n_kept], hw, A,
-            )
-            hit = np.nonzero(inside)[0]
-            if hit.size:
-                # the candidate sits in the dilation of a kept plank, which
-                # therefore covers the pair
-                witness[t] = kept_idx[int(hit[0])]
-                continue
-            # reverse containment alone does not cover the pair; reject only
-            # when the comparable kept plank covers both endpoints directly
-            covered = -1
-            i, j = bucket[t]
-            for k in np.nonzero(holds)[0]:
-                if covers(planks[kept_idx[int(k)]], i, j):
-                    covered = kept_idx[int(k)]
-                    break
-            if covered >= 0:
-                witness[t] = covered
-                continue
-        witness[t] = t
-        kept_idx.append(t)
-        kept_mats[n_kept] = planks[t].frame.matrix()
-        kept_thetas[n_kept] = cand_thetas[t]
-        kept_centers[n_kept] = cand_centers[t]
-        n_kept += 1
+        edges = slice(edge_start[t], edge_start[t + 1])
+        nb = earlier[edges]
+        live = kept[nb]
+        hit = nb[live & inside[edges]]
+        if hit.size:
+            # the candidate sits in the dilation of a kept plank, which
+            # therefore covers the pair
+            witness[t] = hit[0]
+            continue
+        # reverse containment alone does not cover the pair; reject only
+        # when the comparable kept plank covers both endpoints directly
+        cover = next((k for k in nb[live & holds[edges]] if covers(k, t)), None)
+        if cover is None:
+            kept[t] = True
+        else:
+            witness[t] = cover
 
-    kept = [planks[t] for t in kept_idx]
-    coverage_ok = True
-    for t, (i, j) in enumerate(bucket):
-        if not covers(planks[witness[t]], i, j):
-            # the recorded witness must work; fall back to an existence scan
-            if not any(covers(Q, i, j) for Q in kept):
-                coverage_ok = False
-                break
-    violations = _count_comparable(kept_thetas[:n_kept], kept_centers[:n_kept],
-                                   kept_mats[:n_kept], hw, A)
-    return kept, coverage_ok, violations
-
-
-def _count_comparable(thetas, centers, mats, hw, K: float) -> int:
-    """Comparable pairs among same-dimension planks (diagnostic)."""
-    count = 0
-    for a in range(thetas.shape[0]):
-        inside, holds = mutual_containment(
-            thetas[a], centers[a], mats[a], thetas[a + 1:], centers[a + 1:], mats[a + 1:], hw, K
-        )
-        count += int(np.sum(inside | holds))
-    return count
+    kept_idx = np.flatnonzero(kept)
+    offsets = frame_coords(mats[witness][:, None], ends - centers[witness][:, None])
+    witnessed = in_window(offsets, point_window).all(axis=1)
+    coverage_ok = all(
+        any(covers(k, t) for k in kept_idx) for t in np.flatnonzero(~witnessed)
+    )
+    violations = int(np.count_nonzero(kept[earlier] & kept[later]))
+    return kept_idx, witness, coverage_ok, violations
 
 
 # ---------------------------------------------------------------------------

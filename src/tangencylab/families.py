@@ -43,6 +43,18 @@ def pack_grid_keys(idx: np.ndarray, param: str) -> np.ndarray:
     return (idx[:, 0] << (2 * _KEY_BITS)) + (idx[:, 1] << _KEY_BITS) + idx[:, 2]
 
 
+def _outside_box(pts: np.ndarray, box: Box) -> np.ndarray:
+    """Mask (n, 3): coordinate outside its box interval by more than rounding.
+
+    The tolerance is 1e-9 of the interval's upper end (at least 1e-9), so a
+    point on a face, or a rounding error off it, is inside.
+    """
+    lo = np.array([b[0] for b in box], dtype=float)
+    hi = np.array([b[1] for b in box], dtype=float)
+    tol = 1e-9 * np.maximum(1.0, np.abs(hi))
+    return (pts < lo - tol) | (pts > hi + tol)
+
+
 def cube_box(R: float) -> Box:
     return ((0.0, R), (0.0, R), (0.0, R))
 
@@ -104,12 +116,9 @@ class CircleFamily:
         may touch zero.
         """
         pts = self.points.astype(float)
-        for axis, (lo, hi) in enumerate(self.box):
-            if len(self) and not (
-                (pts[:, axis] >= lo - 1e-9 * max(1.0, abs(hi))).all()
-                and (pts[:, axis] <= hi + 1e-9 * max(1.0, abs(hi))).all()
-            ):
-                raise ValueError(f"points leave the declared box on axis {axis}")
+        escaped = np.flatnonzero(_outside_box(pts, self.box).any(axis=0))
+        if escaped.size:
+            raise ValueError(f"points leave the declared box on axis {escaped[0]}")
         if len(self) and self.box[2][0] > 0 and not (pts[:, 2] > 0).all():
             raise ValueError("all radii must be positive")
         if len(self) > 1:
@@ -203,12 +212,14 @@ def load_family(path) -> CircleFamily:
     The first non-hash comment line holds the provenance keys, later comment
     lines the structural ones (box, integer flag, count); keeping them apart
     makes load/serialize a byte-exact round trip, so hashes stay stable.
-    Raises ValueError with a line number on malformed rows.
+    Raises ValueError with a line number on malformed rows, and
+    InvalidParamsError with one on a row outside the declared box.
     """
     prov: dict = {}
     structural: dict = {}
     have_prov = False
     rows: list[list[str]] = []
+    linenos: list[int] = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -229,6 +240,7 @@ def load_family(path) -> CircleFamily:
             if len(parts) != 3:
                 raise ValueError(f"line {lineno}: expected 3 columns, got {len(parts)}")
             rows.append(parts)
+            linenos.append(lineno)
     if not rows:
         raise EmptyFamilyError("family file contains no points")
     integer = structural.get("integer", "0") == "1"
@@ -244,6 +256,11 @@ def load_family(path) -> CircleFamily:
     if "box" in structural:
         spans = [tuple(float(t) for t in pair.split(":")) for pair in structural["box"].split(",")]
         box: Box = tuple(spans)  # type: ignore[assignment]
+        escaped = np.flatnonzero(_outside_box(points.astype(float), box).any(axis=1))
+        if escaped.size:
+            raise InvalidParamsError(
+                f"line {linenos[escaped[0]]}: point lies outside the declared box"
+            )
     else:
         lo = points.min(axis=0).astype(float)
         hi = points.max(axis=0).astype(float)
@@ -455,13 +472,16 @@ def cube_occupancy(family: CircleFamily, cell: float) -> OccupancyProfile:
     """Occupancy histogram of the anchored cell grid.
 
     Points on the top face of the box fold into the last cell so that every
-    point is counted exactly once (conservation is an invariant).
+    point is counted exactly once (conservation is an invariant). A point
+    outside the declared box has no cell and raises InvalidParamsError.
     """
     if not cell > 0:
         raise ValueError("cell must be positive")
     if len(family) == 0:
         return OccupancyProfile(cell_size=cell, max_count=0, histogram={})
     pts = family.points.astype(float)
+    if _outside_box(pts, family.box).any():
+        raise InvalidParamsError("points: a point lies outside the declared box")
     idx = np.empty_like(pts, dtype=np.int64)
     for axis, (lo, hi) in enumerate(family.box):
         n_cells = max(1, int(math.ceil((hi - lo) / cell - 1e-12)))

@@ -10,7 +10,8 @@ light cone {|(x1, x2)| = x3}.
 The module provides the scalar predicates, with the corner containment test
 as the oracle of plank comparability, and the one vectorized containment
 kernel (containment_window, in_window, mutual_containment) that every plank
-comparison in the package is built on.
+comparison in the package is built on; comparability_graph evaluates it on
+the pairs of one plank shape that an angle-gap bound leaves.
 """
 
 from __future__ import annotations
@@ -279,6 +280,16 @@ def in_window(offsets: np.ndarray, window: np.ndarray) -> np.ndarray:
     return np.all(np.abs(offsets) <= window, axis=-1)
 
 
+def frame_coords(mats: np.ndarray, diffs: np.ndarray) -> np.ndarray:
+    """Offsets in cone frames: mats (..., 3, 3) applied to diffs (..., 3), broadcast.
+
+    Each coordinate is summed in one fixed order, so a pair gets the same
+    bits whichever batch it is evaluated in.
+    """
+    p = mats * diffs[..., None, :]
+    return (p[..., 0] + p[..., 1]) + p[..., 2]
+
+
 def mutual_containment(theta, v, U, thetas, centers, mats, hw, K: float):
     """Containment both ways between one plank and many, all of half-widths hw.
 
@@ -289,9 +300,87 @@ def mutual_containment(theta, v, U, thetas, centers, mats, hw, K: float):
     """
     window = containment_window(theta - thetas, hw, K)
     diff = v - centers
-    inside = in_window(np.einsum("kij,kj->ki", mats, diff), window)
-    holds = in_window(diff @ U.T, window)
+    inside = in_window(frame_coords(mats, diff), window)
+    holds = in_window(frame_coords(U, diff), window)
     return inside, holds
+
+
+def comparability_gap_limit(hw: np.ndarray, K: float) -> float:
+    """Largest angle gap at which two planks of half-widths hw can be K-comparable.
+
+    With big and small the larger and smaller of hw[0] and hw[2], the window
+    on the small side's axis is at most
+    (K - 1/2) small - big/2 + cos(g) (big - small)/2 + slack_small,
+    which falls as |g| grows on [0, pi]; past its zero no containment holds
+    either way. The zero is widened by a relative 1e-9 for rounding of the
+    angles. The bound leaves out the term |sin g| hw[1] / sqrt(2) of the
+    same window, so past the zero the window is negative by far more than
+    its rounding unless the zero is within 1e-9 of pi, where
+    comparability_graph joins every pair. pi when the two sides are equal
+    or the bound never reaches zero.
+    """
+    small, big = sorted((float(hw[0]), float(hw[2])))
+    if big == small:
+        return math.pi
+    cos_lim = (big - (2.0 * K - 1.0) * small - 2.0 * containment_slack(K * small)) / (big - small)
+    if cos_lim <= -1.0:
+        return math.pi
+    return min(math.pi, math.acos(cos_lim) * (1.0 + 1e-9))
+
+
+# Candidate pairs of comparability_graph are evaluated in blocks of at most
+# this many, so transient memory stays small.
+_PAIR_BLOCK = 1 << 16
+
+
+def comparability_graph(thetas, centers, mats, hw, K: float):
+    """Comparable pairs among planks of half-widths hw, joined by angle gap.
+
+    Planks whose angle gap exceeds comparability_gap_limit cannot be
+    comparable, so only pairs within it are evaluated, in blocks of at most
+    _PAIR_BLOCK: angles are sorted, copied at +2 pi for the wrap-around, and
+    each plank is joined to the planks ahead of it within the limit (to all
+    later ones in sorted order when the limit reaches pi), which meets every
+    pair once. Returns (earlier, later, inside, holds) over the comparable
+    pairs earlier < later, sorted by (later, earlier): inside when plank
+    `later` lies in the K-dilation of plank `earlier`, holds when `earlier`
+    lies in the K-dilation of `later`. A pair is evaluated exactly as
+    mutual_containment evaluates it with `later` as the one plank.
+    """
+    m = thetas.shape[0]
+    lim = comparability_gap_limit(hw, K)
+    order = np.argsort(thetas, kind="stable")
+    s = thetas[order]
+    # plank at sorted position p meets positions lo[p] .. hi[p] - 1 of the
+    # angles followed by their copies at +2 pi
+    lo = np.arange(m) + 1
+    if lim >= math.pi * (1.0 - 1e-9):
+        hi = np.full(m, m)
+    else:
+        hi = np.searchsorted(np.concatenate([s, s + 2.0 * math.pi]), s + lim, side="right")
+    counts = hi - lo
+    first = np.cumsum(counts) - counts
+    none = np.zeros(0, dtype=np.int64)
+    out = [(none, none, none.astype(bool), none.astype(bool))]
+    start = 0
+    while start < m:
+        stop = max(int(np.searchsorted(first, first[start] + _PAIR_BLOCK, side="right")), start + 1)
+        rows = np.repeat(np.arange(start, stop), counts[start:stop])
+        pos = np.arange(rows.size) + np.repeat(
+            lo[start:stop] - first[start:stop] + first[start], counts[start:stop]
+        )
+        i, j = order[rows], order[pos % m]
+        a, b = np.minimum(i, j), np.maximum(i, j)
+        window = containment_window(thetas[b] - thetas[a], hw, K)
+        diff = centers[b] - centers[a]
+        inside = in_window(frame_coords(mats[a], diff), window)
+        holds = in_window(frame_coords(mats[b], diff), window)
+        keep = inside | holds
+        out.append((a[keep], b[keep], inside[keep], holds[keep]))
+        start = stop
+    a, b, inside, holds = (np.concatenate(col) for col in zip(*out))
+    by = np.lexsort((a, b))
+    return a[by], b[by], inside[by], holds[by]
 
 
 def rotate_point_z(p: np.ndarray, phi: float) -> np.ndarray:

@@ -205,14 +205,22 @@ def _sat_axes(U: np.ndarray) -> np.ndarray:
     return np.vstack([eyes, U, crosses])
 
 
+def _sat_threshold(axes: np.ndarray, U: np.ndarray, hw: np.ndarray, bh: np.ndarray) -> np.ndarray:
+    """Per separating axis, the box radius plus the plank radius plus 1e-9.
+
+    A plank meets the box exactly when its center's projection, less the box
+    center's, stays within this on every axis. `_sat_intersects` and
+    `_row_extents` both use it, so they decide the same cells.
+    """
+    return (np.abs(axes) @ bh + np.abs(axes @ U.T) @ hw) + 1e-9
+
+
 def _sat_intersects(centers: np.ndarray, U: np.ndarray, hw: np.ndarray, box: Box) -> np.ndarray:
     """Exact box/plank intersection via the separating axis test, vectorized."""
     bc, bh = _box_arrays(box)
     axes = _sat_axes(U)
-    r_plank = np.abs(axes @ U.T) @ hw
-    r_box = np.abs(axes) @ bh
     proj = np.abs((centers - bc) @ axes.T)
-    return np.all(proj <= (r_box + r_plank) + 1e-9, axis=1)
+    return np.all(proj <= _sat_threshold(axes, U, hw, bh), axis=1)
 
 
 def _row_extents(frame: PlankFrame, spacing: np.ndarray, hw: np.ndarray, box: Box) -> _RowExtents:
@@ -236,7 +244,7 @@ def _row_extents(frame: PlankFrame, spacing: np.ndarray, hw: np.ndarray, box: Bo
     U = frame.matrix()
     bc, bh = _box_arrays(box)
     axes = _sat_axes(U)
-    t = (np.abs(axes) @ bh + np.abs(axes @ U.T) @ hw) + 1e-9
+    t = _sat_threshold(axes, U, hw, bh)
     b = lo_idx[1] + np.arange(shape[1])
     c = lo_idx[2] + np.arange(shape[2])
     alpha = spacing[0] * (axes @ U[0])

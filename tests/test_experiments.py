@@ -6,13 +6,27 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats as sstats
 
 from conftest import clustered_unit_family, random_unit_family
 from tangencylab import experiments as ex
+from tangencylab import geometry
 from tangencylab.errors import DegenerateSweepError, InvalidParamsError, ValidationError
 from tangencylab.families import CircleFamily, gen_clamshell, gen_integer_lattice, unit_box
-from tangencylab.geometry import is_exact_tangent_int
+from tangencylab.geometry import (
+    Lightplank,
+    comparability_gap_limit,
+    comparability_graph,
+    containment_window,
+    frame_coords,
+    in_window,
+    is_exact_tangent_int,
+    mutual_containment,
+    plank_axes,
+    wrap_angle,
+)
+from tangencylab.incidence import bin_dyadic, count_ct_delta_hashed
 
 
 class TestScalingSweep:
@@ -165,6 +179,178 @@ class TestLemma28:
             assert rep.summary["gates_pass"]
             for detail in rep.summary["per_scale"].values():
                 assert detail["incomparability_violations"] == 0
+
+
+def _oracle_plank_sum_greedy(planks, ends, A):
+    """The plank-sum greedy as an all-kept scan: the reference for _plank_sum_greedy.
+
+    Each candidate is compared with every kept plank, in kept order; the
+    incomparability diagnostic compares every pair of kept planks.
+    """
+    hw = planks[0].half_widths() if planks else np.zeros(3)
+    point_window = containment_window(0.0, hw, A, inner_hw=np.zeros(3))
+
+    def covers(k, t):
+        P = planks[k]
+        return bool(in_window(frame_coords(P.frame.matrix(), ends[t] - P.v), point_window).all())
+
+    def arrays(idx):
+        return (np.array([planks[k].frame.theta for k in idx]),
+                np.array([planks[k].v for k in idx]).reshape(-1, 3),
+                np.array([planks[k].frame.matrix() for k in idx]).reshape(-1, 3, 3))
+
+    kept, witness = [], []
+    for t, P in enumerate(planks):
+        inside, holds = mutual_containment(
+            P.frame.theta, P.v, P.frame.matrix(), *arrays(kept), hw, A
+        )
+        hit = [k for k, h in zip(kept, inside) if h]
+        cover = [k for k, h in zip(kept, holds) if h and covers(k, t)]
+        if hit or cover:
+            witness.append((hit or cover)[0])
+        else:
+            witness.append(t)
+            kept.append(t)
+    coverage_ok = all(
+        covers(witness[t], t) or any(covers(k, t) for k in kept) for t in range(len(planks))
+    )
+    violations = 0
+    for x, a in enumerate(kept):
+        P = planks[a]
+        inside, holds = mutual_containment(
+            P.frame.theta, P.v, P.frame.matrix(), *arrays(kept[x + 1:]), hw, A
+        )
+        violations += int(np.sum(inside | holds))
+    return kept, witness, coverage_ok, violations
+
+
+def _brute_graph(planks, hw, K):
+    """Comparable pairs (earlier, later, inside, holds) by an all-pairs kernel scan."""
+    out = []
+    for b, P in enumerate(planks[1:], start=1):
+        inside, holds = mutual_containment(
+            P.frame.theta, P.v, P.frame.matrix(),
+            np.array([Q.frame.theta for Q in planks[:b]]), np.array([Q.v for Q in planks[:b]]),
+            np.array([Q.frame.matrix() for Q in planks[:b]]), hw, K,
+        )
+        out += [(a, b, bool(i), bool(h)) for a, (i, h) in enumerate(zip(inside, holds)) if i or h]
+    return out
+
+
+def _graph_of(planks, hw, K):
+    m = len(planks)
+    graph = comparability_graph(
+        np.array([P.frame.theta for P in planks]), np.array([P.v for P in planks]).reshape(m, 3),
+        np.array([P.frame.matrix() for P in planks]).reshape(m, 3, 3), hw, K,
+    )
+    return [tuple(col.tolist()) for col in graph]
+
+
+def _as_angle(t):
+    return t if -math.pi <= t < math.pi else wrap_angle(t)
+
+
+@st.composite
+def _greedy_cases(draw):
+    """Same-shape candidate planks and pair endpoints, adversarial for the angle-gap index."""
+    delta = 0.02
+    # at D = delta and A >= 2 every gap is in reach; just above it the limit
+    # nears pi, where the bound it comes from is tight
+    D = draw(st.sampled_from([delta, delta * (1.0 + 1e-9), delta * 1.001, 0.05, 0.5]))
+    A = draw(st.sampled_from([1.0, 2.0, 3.5]))
+    hw = Lightplank(plank_axes(0.0), np.zeros(3), delta, 2.0 * D).half_widths()
+    g = comparability_gap_limit(hw, A)
+    m = draw(st.integers(0, 12))
+    kind = draw(st.sampled_from(["near", "wrap", "limit", "clamshell", "faces"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    theta0 = draw(st.sampled_from([0.0, -math.pi, 1.0]))
+    if kind == "near":
+        thetas = theta0 + rng.uniform(-1.0, 1.0, m) * g * draw(st.sampled_from([0.1, 0.5, 1.2]))
+    elif kind == "wrap":
+        seam = [-math.pi, math.nextafter(-math.pi, 0.0), math.nextafter(math.pi, 0.0),
+                math.pi - g / 2.0, -math.pi + g / 2.0, math.pi - g, -math.pi + g]
+        thetas = rng.choice(seam, m)
+    elif kind == "limit":
+        # pairs at exactly the limit and 1 ulp either side of it
+        edge = [g, math.nextafter(g, 0.0), math.nextafter(g, 4.0)]
+        thetas = rng.choice([0.0] + edge + [-e for e in edge], m)
+    else:
+        thetas = np.full(m, theta0)
+        if kind == "faces":
+            thetas[1:] += rng.uniform(-1.0, 1.0, max(m - 1, 0)) * g
+    thetas = np.array([_as_angle(t) for t in thetas])
+    U0 = plank_axes(_as_angle(theta0)).matrix()
+    v0 = np.array([0.1, -0.2, 1.5])
+    scale = draw(st.sampled_from([0.0, 0.02, 0.5, 1.5])) * A * hw
+    centers = v0 + (rng.uniform(-1.0, 1.0, (m, 3)) * scale) @ U0
+    if kind == "clamshell":
+        # all on one angle, spread along the long axis
+        centers = v0 + np.outer(rng.integers(-4, 5, m) * hw[2] / 2.0, U0[2])
+    elif kind == "faces" and m:
+        # centres on the window faces of the first plank, on some axes
+        U = plank_axes(thetas[0]).matrix()
+        window = containment_window(thetas - thetas[0], hw, A)
+        on_face = rng.random((m, 3)) < 0.7
+        offsets = np.where(on_face, window, rng.uniform(0.0, 1.0, (m, 3)) * np.abs(window))
+        centers = v0 + (offsets * rng.choice([-1.0, 1.0], (m, 3))) @ U
+        centers[0] = v0
+    planks = [Lightplank(plank_axes(float(t)), c, delta, 2.0 * D) for t, c in zip(thetas, centers)]
+    point_window = containment_window(0.0, hw, A, inner_hw=np.zeros(3))
+    reach = draw(st.sampled_from([0.5, 1.0, 1.3]))  # 1.0 puts endpoints on the faces
+    ends = np.array([
+        P.v + (rng.choice([-1.0, 1.0], (2, 3)) * point_window
+               * (reach if reach == 1.0 else rng.uniform(0.0, reach, (2, 3)))) @ P.frame.matrix()
+        for P in planks
+    ]).reshape(m, 2, 3)
+    return planks, ends, hw, A
+
+
+class TestPlankSumGreedy:
+    @given(_greedy_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_all_kept_scan(self, case):
+        planks, ends, hw, A = case
+        assert list(zip(*_graph_of(planks, hw, A))) == _brute_graph(planks, hw, A)
+        kept, witness, coverage_ok, violations = ex._plank_sum_greedy(planks, ends, A)
+        want = _oracle_plank_sum_greedy(planks, ends, A)
+        assert (kept.tolist(), witness.tolist(), coverage_ok, violations) == want
+
+    def test_blocks_do_not_change_the_graph(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        hw = Lightplank(plank_axes(0.0), np.zeros(3), 0.02, 0.2).half_widths()
+        planks = [
+            Lightplank(plank_axes(t), c, 0.02, 0.2)
+            for t, c in zip(rng.uniform(-math.pi, math.pi, 200), rng.uniform(-0.1, 0.1, (200, 3)))
+        ]
+        want = _graph_of(planks, hw, 2.0)
+        assert len(want[0]) > 10
+        for block in (1, 2, 7, 1000):
+            monkeypatch.setattr(geometry, "_PAIR_BLOCK", block)
+            assert _graph_of(planks, hw, 2.0) == want
+
+    @pytest.mark.parametrize("fam", [
+        random_unit_family(11, 300), clustered_unit_family(12, 160), gen_clamshell(40),
+    ], ids=["uniform", "clustered", "clamshell"])
+    def test_family_buckets_match_all_kept_scan(self, fam):
+        binned = bin_dyadic(count_ct_delta_hashed(fam, 0.02), fam)
+        sizes = []
+        for D, bucket in binned.by_distance.items():
+            planks = [ex.pair_plank(fam.circle(i), fam.circle(j), 0.02, length=2.0 * D)
+                      for i, j in bucket]
+            ends = fam.points.astype(float)[bucket]
+            kept, witness, coverage_ok, violations = ex._plank_sum_greedy(planks, ends, 2.0)
+            assert (kept.tolist(), witness.tolist(), coverage_ok, violations) == \
+                _oracle_plank_sum_greedy(planks, ends, 2.0)
+            sizes.append(len(planks))
+        assert max(sizes) > 30
+
+    def test_empty_bucket(self):
+        fam = random_unit_family(1, 10)
+        kept, coverage_ok, violations = ex._lemma28_extract(
+            fam, np.empty((0, 2), dtype=np.int64), 0.02, 0.5, 2.0
+        )
+        assert kept == [] and coverage_ok and violations == 0
+        assert ex._plank_sum_greedy([], np.empty((0, 2, 3)), 2.0)[1].size == 0
 
 
 class TestSharpness:

@@ -218,6 +218,20 @@ class TestCubeOccupancy:
         assert cube_occupancy(fam, 1e-3).max_count == 1
 
 
+    def test_points_outside_the_box_raise(self):
+        # one centre, radii below, far below and inside the unit box: the two
+        # outside used to be clamped into the bottom cell (max_count 3)
+        pts = np.array([[0.0, 0.0, 0.5], [0.0, 0.0, -3.0], [0.0, 0.0, 1.01]])
+        fam = CircleFamily(pts, 1.0, 0.0, unit_box(), {})
+        with pytest.raises(InvalidParamsError, match="outside the declared box"):
+            cube_occupancy(fam, 0.1)
+
+    def test_points_on_faces_fold_in(self):
+        pts = np.array([[-1.0, -1.0, 1.0], [1.0, 1.0, 2.0], [1.0, -1.0, 2.0]])
+        occ = cube_occupancy(CircleFamily(pts, 1.0, 0.0, unit_box(), {}), 0.5)
+        assert occ.total_points() == 3 and occ.max_count == 1
+
+
 class TestGridKeys:
     def test_distinct_and_lexicographic(self):
         rng = np.random.default_rng(3)
@@ -258,6 +272,13 @@ class TestSerialization:
         path = tmp_path / "bad.txt"
         path.write_text("# generator=x\n1.0 2.0 3.0\n4.0 5.0\n")
         with pytest.raises(ValueError, match="line 3"):
+            load_family(path)
+
+    def test_row_outside_declared_box_rejected(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("# generator=x\n# box=-1.0:1.0,-1.0:1.0,1.0:2.0 integer=0 n=2\n"
+                        "0.0 0.0 1.0\n0.0 0.0 2.5\n")
+        with pytest.raises(InvalidParamsError, match="line 4"):
             load_family(path)
 
     def test_empty_file(self, tmp_path):

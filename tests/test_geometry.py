@@ -12,6 +12,7 @@ from tangencylab.geometry import (
     Lightplank,
     Rect2,
     annulus_contains_rect,
+    comparability_gap_limit,
     containment_slack,
     containment_window,
     delta_gap,
@@ -341,6 +342,34 @@ class TestContainmentKernel:
             coords = np.abs((x - P.v) @ P.frame.matrix().T)
             if np.all(np.abs(coords - K * hw) > 1e-9):
                 assert bool(np.all(coords <= window)) == plank_contains(P, x, K)
+
+
+class TestGapLimit:
+    @pytest.mark.parametrize("K", [1.0, 2.0, 3.5])
+    @pytest.mark.parametrize("A,B", [(0.02, 1.0), (0.02, 0.04), (1.0, 0.02), (0.3, 0.2)],
+                             ids=["pair", "pair-short", "rect", "rect-short"])
+    def test_comparable_pairs_are_within_the_limit(self, A, B, K):
+        # A <= B is the pair plank's shape, A > B the lifted rectangle's
+        rng = np.random.default_rng(int(1000 * (A + B + K)))
+        hw = Lightplank(plank_axes(0.0), np.zeros(3), A, B).half_widths()
+        g = comparability_gap_limit(hw, K)
+        comparable = 0
+        for _ in range(400):
+            t = rng.uniform(-math.pi, math.pi)
+            # gaps from far below the limit to past it, centres from nearly
+            # equal to a full dilation apart
+            gap = rng.choice([-1.0, 1.0]) * min(1.3 * g, math.pi) * 10.0 ** rng.uniform(-10, 0)
+            P = Lightplank(plank_axes(t), np.array([0.1, 0.2, 1.5]), A, B)
+            offset = rng.uniform(-1.0, 1.0, 3) * K * hw * 10.0 ** rng.uniform(-12, 0)
+            Q = Lightplank(plank_axes(wrap_angle(t + gap)), P.v + offset @ P.frame.matrix(), A, B)
+            if plank_comparable(P, Q, K):
+                comparable += 1
+                assert abs(wrap_angle(Q.frame.theta - t)) <= g
+        assert comparable > 40
+
+    def test_equal_sides_reach_every_gap(self):
+        assert comparability_gap_limit(np.array([0.5, 0.5, 0.5]), 1.0) == math.pi
+        assert comparability_gap_limit(np.array([0.01, 0.1, 1.0]), 2.0) < 0.3
 
 
 class TestAnnulusContainsRect:
