@@ -199,7 +199,7 @@ def _run_section(name: str, sec: configparser.SectionProxy, workers: int) -> ex.
             workers=workers,
         )
     if kind == "exact_ct":
-        return ex.run_exact_ct([int(v) for v in _parse_values(sec.get("n"))], workers=workers)
+        return ex.run_exact_ct([int(v) for v in _parse_values(sec.get("n"))])
     if kind == "lemma28":
         fam = load_family(sec.get("family"))
         return ex.run_lemma28_check(fam, sec.getfloat("delta"), A=sec.getfloat("A", 2.0))
@@ -210,7 +210,7 @@ def _run_section(name: str, sec: configparser.SectionProxy, workers: int) -> ex.
             seeds = [_env_seed(0) + k for k in range(len(seeds))]
         return ex.run_sharpness(
             R=sec.getfloat("R"), rho=sec.getfloat("rho"), eps=sec.getfloat("eps"),
-            seeds=seeds, K=sec.getfloat("K", 2.0), workers=workers,
+            seeds=seeds, K=sec.getfloat("K", 2.0),
         )
     if kind == "chernoff":
         ns = [int(v) for v in _parse_values(sec.get("n"))]

@@ -34,16 +34,16 @@ from .families import (
     gen_random_wellspaced,
     wellspaced_candidates,
 )
-from .geometry import Circle3, comparability_graph, containment_window, frame_coords, in_window
+from .geometry import Circle3, comparability_graph, frame_coords, in_window, point_window
 from .incidence import bin_dyadic, count_ct0_exact, count_ct_delta_hashed
 from .planks import (
     PlankCollection,
-    _assign_points,
     add_dyadic_counts,
     enumerate_incomparable,
     mu_buckets,
     pair_plank,
     richness,
+    slice_counts,
 )
 
 CSV_COLUMNS = [
@@ -231,7 +231,7 @@ def _rectangle_row(
 ) -> dict:
     """The rectangle_bound row of one family: enumerate, bucket, take the richest bucket."""
     coll = enumerate_incomparable(R, S=R, K=K)
-    table = mu_buckets(coll, fam, K=1.0, keep_members=False)
+    table = mu_buckets(coll, fam, K=1.0)
     lhs, mu_hat = _max_bucket_metric(table)
     rhs = len(fam) ** (4.0 / 3.0)
     return {
@@ -336,7 +336,7 @@ def light_ray_degeneracy(family: CircleFamily, pairs) -> int:
     return int(np.sum(np.diff(starts) >= 3))
 
 
-def run_exact_ct(n_values, workers: int = 1) -> ExperimentReport:
+def run_exact_ct(n_values) -> ExperimentReport:
     """Exact tangency counts of integer lattice families across an n-sweep.
 
     Counts are exact; each row reports |CT_0| (unordered), the normalization
@@ -465,8 +465,8 @@ def _plank_sum_greedy(planks: list, ends: np.ndarray, A: float):
     comparability graph joins can be comparable, so each candidate looks at
     its graph neighbours alone, in index order, and the kept list and
     witnesses are those of a scan over all kept planks. The verification
-    re-tests every witness with the membership predicate (a pair endpoint is
-    a plank with zero half-widths) and falls back to an existence scan.
+    re-tests every witness with the membership rule point_window, which
+    richness applies too, and falls back to an existence scan.
     Returns (kept indices, witness per candidate, coverage_ok, comparable
     kept pairs).
     """
@@ -475,10 +475,10 @@ def _plank_sum_greedy(planks: list, ends: np.ndarray, A: float):
     centers = np.array([P.v for P in planks]).reshape(m, 3)
     mats = np.array([P.frame.matrix() for P in planks]).reshape(m, 3, 3)
     hw = planks[0].half_widths() if planks else np.zeros(3)
-    point_window = containment_window(0.0, hw, A, inner_hw=np.zeros(3))
+    window = point_window(hw, A)
 
     def covers(k, t) -> bool:
-        return bool(in_window(frame_coords(mats[k], ends[t] - centers[k]), point_window).all())
+        return bool(in_window(frame_coords(mats[k], ends[t] - centers[k]), window).all())
 
     earlier, later, inside, holds = comparability_graph(thetas, centers, mats, hw, A)
     edge_start = np.searchsorted(later, np.arange(m + 1))
@@ -504,7 +504,7 @@ def _plank_sum_greedy(planks: list, ends: np.ndarray, A: float):
 
     kept_idx = np.flatnonzero(kept)
     offsets = frame_coords(mats[witness][:, None], ends - centers[witness][:, None])
-    witnessed = in_window(offsets, point_window).all(axis=1)
+    witnessed = in_window(offsets, window).all(axis=1)
     coverage_ok = all(
         any(covers(k, t) for k in kept_idx) for t in np.flatnonzero(~witnessed)
     )
@@ -530,7 +530,6 @@ def run_sharpness(
     eps: float,
     seeds,
     K: float = 2.0,
-    workers: int = 1,
 ) -> ExperimentReport:
     """Per-seed gates for the randomized well-spaced construction.
 
@@ -564,7 +563,7 @@ def run_sharpness(
     p = R**eps * rho**-3.0
     m_asym = WELLSPACED_GRID_FACTOR**-3.0 * R**1.5 * p
     cand, single_tile = wellspaced_candidates(R, rho)
-    judged, judged_bound = _judged_planks(_candidate_counts(coll, cand.astype(float)), p)
+    judged, judged_bound = _judged_planks(list(slice_counts(coll, cand.astype(float), 1.0)), p)
     judged_m = np.concatenate([m for _, m in judged])
     stated_judged = math.ceil(m_asym / 10.0) <= math.floor(10.0 * m_asym)
     exact_judged = judged_m.size > 0
@@ -628,16 +627,6 @@ def run_sharpness(
     return report
 
 
-def _candidate_counts(coll: PlankCollection, cand_points: np.ndarray) -> list:
-    """Per-slice (plank key, candidate count) arrays, computed once per R."""
-    out = []
-    empty = np.empty(0, dtype=np.int64)
-    for j in range(len(coll.slices)):
-        kc = _assign_points(coll, j, cand_points, 1.0)[1]
-        out.append(np.unique(kc, return_counts=True) if kc.size else (empty, empty))
-    return out
-
-
 def _judged_planks(cand_counts: list, p: float) -> tuple[list, float]:
     """The planks on which the exact-mean window is judged, chosen before any draw.
 
@@ -670,23 +659,18 @@ def _sharpness_plank_stats(coll: PlankCollection, fam: CircleFamily, judged: lis
     count outside [m_P/10, 10 m_P], and the dyadic bucket concentration of
     rich planks.
     """
-    pts = fam.points.astype(float)
     max_count = 0
     min_rich: int | None = None
     n_outside = 0
     bucket_counts: dict[int, int] = {}
     n_rich = 0
-    empty = np.empty(0, dtype=np.int64)
-    for j in range(len(coll.slices)):
-        kx = _assign_points(coll, j, pts, 1.0)[1] if pts.shape[0] else empty
-        ux, cx = np.unique(kx, return_counts=True)
+    for (ux, cx), (jk, jm) in zip(slice_counts(coll, fam.points.astype(float), 1.0), judged):
         if ux.size:
             n_rich += int(ux.size)
             max_count = max(max_count, int(cx.max()))
             low = int(cx.min())
             min_rich = low if min_rich is None else min(min_rich, low)
             add_dyadic_counts(bucket_counts, cx)
-        jk, jm = judged[j]
         if jk.size:
             # a judged plank that no sampled point reaches holds count 0
             counts = np.zeros(jk.size, dtype=np.int64)

@@ -278,6 +278,8 @@ def gen_maximal_separated(R: float, rho: float, box_kind: str = "cube") -> Circl
 
     box_kind "cube" places the grid in [0, R]^3; "annular" uses the
     center-radius box [-R, R]^2 x [R, 2R]. Cardinality is Theta((R/rho)^3).
+    Each axis is clipped to its box end, which lo + rho k can pass by a
+    rounding when (hi - lo) / rho is just below an integer.
     """
     if not 0 < rho <= R:
         raise InvalidParamsError("rho: need 0 < rho <= R")
@@ -285,7 +287,9 @@ def gen_maximal_separated(R: float, rho: float, box_kind: str = "cube") -> Circl
     axes = []
     for lo, hi in box:
         count = int(math.floor((hi - lo) / rho + 1e-12)) + 1
-        axes.append(lo + rho * np.arange(count))
+        axis = lo + rho * np.arange(count)
+        axis[axis > hi] = hi
+        axes.append(axis)
     g1, g2, g3 = np.meshgrid(*axes, indexing="ij")
     points = np.column_stack([g1.ravel(), g2.ravel(), g3.ravel()])
     return CircleFamily(

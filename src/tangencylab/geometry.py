@@ -11,7 +11,9 @@ The module provides the scalar predicates, with the corner containment test
 as the oracle of plank comparability, and the one vectorized containment
 kernel (containment_window, in_window, mutual_containment) that every plank
 comparison in the package is built on; comparability_graph evaluates it on
-the pairs of one plank shape that an angle-gap bound leaves.
+the pairs of one plank shape that an angle-gap bound leaves. point_window is
+the one plank membership rule for points, the same kernel at zero inner
+half-widths.
 """
 
 from __future__ import annotations
@@ -183,13 +185,8 @@ def plank_contains(plank: Lightplank, x, K: float = 1.0) -> bool:
     if K < 1.0:
         raise ValueError("dilation factor K must be >= 1")
     p = x.as_point() if isinstance(x, Circle3) else np.asarray(x, dtype=float)
-    rel = p - plank.v
-    hw = plank.half_widths() * K
-    return (
-        abs(float(rel @ plank.frame.axis_a)) <= hw[0]
-        and abs(float(rel @ plank.frame.axis_b)) <= hw[1]
-        and abs(float(rel @ plank.frame.axis_c)) <= hw[2]
-    )
+    offsets = (p - plank.v) @ plank.frame.matrix().T
+    return bool(in_window(offsets, point_window(plank.half_widths(), K)))
 
 
 def plank_corners(plank: Lightplank) -> np.ndarray:
@@ -209,6 +206,17 @@ def containment_slack(hw: np.ndarray) -> np.ndarray:
     below the geometric margins of any lattice used here.
     """
     return 1e-9 * (1.0 + hw)
+
+
+def point_window(hw: np.ndarray, K: float) -> np.ndarray:
+    """Per-axis window K hw + slack of the K-dilation of a plank of half-widths hw.
+
+    The one plank membership rule: a point lies in the K-dilation exactly
+    when its offset from the center, in the plank's frame, is in_window.
+    It is containment_window for an inner plank of zero half-widths, so a
+    point and a degenerate plank at that point agree.
+    """
+    return K * hw + containment_slack(K * hw)
 
 
 def plank_contained_in_dilation(inner: Lightplank, outer: Lightplank, K: float = 1.0) -> bool:
@@ -329,8 +337,9 @@ def comparability_gap_limit(hw: np.ndarray, K: float) -> float:
 
 
 # Candidate pairs of comparability_graph are evaluated in blocks of at most
-# this many, so transient memory stays small.
-_PAIR_BLOCK = 1 << 16
+# this many, so transient memory stays small: a block holds the frame
+# matrices of both ends of each pair (144 bytes a pair each) at once.
+_PAIR_BLOCK = 1 << 15
 
 
 def comparability_graph(thetas, centers, mats, hw, K: float):
@@ -371,10 +380,9 @@ def comparability_graph(thetas, centers, mats, hw, K: float):
         )
         i, j = order[rows], order[pos % m]
         a, b = np.minimum(i, j), np.maximum(i, j)
-        window = containment_window(thetas[b] - thetas[a], hw, K)
-        diff = centers[b] - centers[a]
-        inside = in_window(frame_coords(mats[a], diff), window)
-        holds = in_window(frame_coords(mats[b], diff), window)
+        inside, holds = mutual_containment(
+            thetas[b], centers[b], mats[b], thetas[a], centers[a], mats[a], hw, K
+        )
         keep = inside | holds
         out.append((a[keep], b[keep], inside[keep], holds[keep]))
         start = stop

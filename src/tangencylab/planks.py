@@ -22,7 +22,10 @@ per-angle row extents plus the sparse rejection set instead of materialized
 boxes; slices are regenerated on demand by the same deterministic code
 path. Richness of every plank against a family is computed per angle by
 snapping each point to the center grid, which is exact because membership
-windows never span more than a bounded number of grid cells.
+windows never span more than a bounded number of grid cells. Membership is
+geometry.point_window everywhere: the direct scan and the grid snap apply
+the same window to the same offsets, so they agree on points that lie on a
+plank's faces.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from .geometry import (
     in_window,
     mutual_containment,
     plank_axes,
+    point_window,
     tangency_point,
     tangency_rect,
     wrap_angle,
@@ -508,11 +512,8 @@ def richness(plank: Lightplank, family: CircleFamily, K: float = 1.0) -> int:
     """Number of family points in the K-dilation of the plank (direct scan)."""
     if len(family) == 0:
         return 0
-    pts = family.points.astype(float)
-    rel = pts - plank.v
-    coords = np.abs(rel @ plank.frame.matrix().T)
-    hw = plank.half_widths() * K
-    return int(np.all(coords <= hw, axis=1).sum())
+    offsets = (family.points.astype(float) - plank.v) @ plank.frame.matrix().T
+    return int(in_window(offsets, point_window(plank.half_widths(), K)).sum())
 
 
 def _assign_points(
@@ -520,27 +521,27 @@ def _assign_points(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(point index, packed plank key) incidences for slice j.
 
-    Points snap to the center grid; the membership window K_rich * hw spans
-    at most floor(K_rich / K) + 1 grid cells per axis, so scanning that many
-    offsets is exact. Distinct offsets give a point distinct cells, so no
-    incidence repeats. Cells outside the enumeration (outside the slice's
-    row extents, or greedy rejected) are dropped.
+    Points snap to the center grid; the membership window w of
+    point_window(hw, K_rich) holds at most floor(2 w / spacing) + 1 grid
+    cells per axis, so scanning that many offsets from the lowest is exact.
+    Distinct offsets give a point distinct cells, so no incidence repeats.
+    Cells outside the enumeration (outside the slice's row extents, or
+    greedy rejected) are dropped.
     """
     spec = coll.slices[j]
     U = spec.frame.matrix()
-    spacing, hw = coll.spacing, coll.half_widths
-    window = K_rich * hw
+    spacing = coll.spacing
+    window = point_window(coll.half_widths, K_rich)
     coords = pts @ U.T
-    base = np.ceil((coords - window) / spacing - 1e-12).astype(np.int64)
-    reach = int(math.floor(K_rich / coll.K + 1e-9)) + 1
+    base = np.ceil((coords - window) / spacing).astype(np.int64)
+    reach = int(math.floor(np.max(2.0 * window / spacing) + 1e-9)) + 1
     pt_idx_out, key_out = [], []
     rejected = spec.rejected
     for oa in range(reach):
         for ob in range(reach):
             for oc in range(reach):
                 cand = base + np.array([oa, ob, oc])
-                resid = np.abs(coords - cand * spacing)
-                ok = np.all(resid <= window + 1e-12, axis=1)
+                ok = in_window(coords - cand * spacing, window)
                 if not ok.any():
                     continue
                 cells = cand[ok]
@@ -559,25 +560,27 @@ def _assign_points(
     return np.concatenate(pt_idx_out), np.concatenate(key_out)
 
 
+def slice_counts(coll: PlankCollection, pts: np.ndarray, K_rich: float):
+    """Per slice, (sorted packed keys, point counts) of the planks holding a point.
+
+    The one pass over a collection's slices that every richness count runs.
+    """
+    for j in range(len(coll.slices)):
+        yield np.unique(_assign_points(coll, j, pts, K_rich)[1], return_counts=True)
+
+
 @dataclass
 class RichnessTable:
     """Dyadic richness histogram of a plank collection against a family.
 
     mu_buckets maps dyadic mu to the number of planks whose richness lies in
-    [mu, 2 mu); only planks with richness >= 1 are bucketed. members, when
-    kept, holds (slice index, packed key, richness) triples for bucket
-    membership queries on small collections.
+    [mu, 2 mu); only planks with richness >= 1 are bucketed, and n_rich
+    counts them.
     """
 
     mu_buckets: dict[int, int]
     n_rich: int
     max_richness: int
-    members: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-
-    def bucket_of(self, richness_value: int) -> int:
-        if richness_value < 1:
-            raise ValueError("only planks with richness >= 1 are bucketed")
-        return _dyadic_floor(int(richness_value))
 
     def serialize(self) -> str:
         lines = ["# mu count_planks"]
@@ -599,43 +602,15 @@ def add_dyadic_counts(buckets: dict[int, int], counts: np.ndarray) -> None:
         buckets[mu] = buckets.get(mu, 0) + k
 
 
-def mu_buckets(
-    coll: PlankCollection, family: CircleFamily, K: float = 1.0, keep_members: bool | None = None
-) -> RichnessTable:
+def mu_buckets(coll: PlankCollection, family: CircleFamily, K: float = 1.0) -> RichnessTable:
     """Bucket every plank of the collection by dyadic richness against X."""
-    pts = family.points.astype(float)
     buckets: dict[int, int] = {}
-    n_rich = 0
-    max_rich = 0
-    mem_slices, mem_keys, mem_counts = [], [], []
-    if keep_members is None:
-        keep_members = len(coll) <= 2_000_000
-    for j in range(len(coll.slices)):
-        if pts.shape[0] == 0:
-            break
-        pt_ids, keys = _assign_points(coll, j, pts, K)
-        if keys.size == 0:
-            continue
-        uniq_keys, counts = np.unique(keys, return_counts=True)
-        n_rich += uniq_keys.size
-        max_rich = max(max_rich, int(counts.max()))
+    n_rich = max_rich = 0
+    for keys, counts in slice_counts(coll, family.points.astype(float), K):
+        n_rich += keys.size
+        max_rich = max(max_rich, int(counts.max(initial=0)))
         add_dyadic_counts(buckets, counts)
-        if keep_members:
-            mem_slices.append(np.full(uniq_keys.size, j, dtype=np.int64))
-            mem_keys.append(uniq_keys)
-            mem_counts.append(counts.astype(np.int64))
-    members = None
-    if keep_members and mem_keys:
-        members = (
-            np.concatenate(mem_slices), np.concatenate(mem_keys), np.concatenate(mem_counts)
-        )
-    elif keep_members:
-        members = (
-            np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        )
-    return RichnessTable(
-        mu_buckets=buckets, n_rich=n_rich, max_richness=max_rich, members=members
-    )
+    return RichnessTable(mu_buckets=buckets, n_rich=n_rich, max_richness=max_rich)
 
 
 # ---------------------------------------------------------------------------

@@ -37,12 +37,24 @@ class TestMaximalSeparated:
         ok, gap = check_separation(fam, 10)
         assert ok and gap == pytest.approx(10.0)
 
+    @pytest.mark.parametrize("R, rho, kind", [(0.3, 0.1, "cube"), (0.7, 0.1, "cube"), (0.3, 0.1, "annular")])
+    def test_points_stay_in_box(self, R, rho, kind):
+        # (hi - lo) / rho rounds just below an integer here, so lo + rho k
+        # would pass the box end by an ulp without the clip
+        fam = gen_maximal_separated(R, rho, box_kind=kind)
+        lo = np.array([b[0] for b in fam.box])
+        hi = np.array([b[1] for b in fam.box])
+        assert np.all(fam.points >= lo) and np.all(fam.points <= hi)
+        assert np.isin(hi, fam.points).all()
+        assert check_separation(fam, rho)[0]
+
     def test_annular_box(self):
         fam = gen_maximal_separated(8, 2, box_kind="annular")
         fam.validate()
         assert fam.points[:, 2].min() >= 8
         assert fam.points[:, 2].max() <= 16
         assert len(fam) == 9 * 9 * 5
+        assert fam.points.dtype.kind == "i"  # an integer grid stays integer
 
 
 class TestClamshell:

@@ -25,6 +25,7 @@ from tangencylab.geometry import (
     plank_contains,
     plank_corners,
     point_rect_distance,
+    point_window,
     rect_axes,
     rect_corners,
     rotate_plank_z,
@@ -338,6 +339,7 @@ class TestContainmentKernel:
             hw = P.half_widths()
             window = containment_window(rng.uniform(-4, 4), hw, K, inner_hw=np.zeros(3))
             np.testing.assert_array_equal(window, K * hw + containment_slack(K * hw))
+            np.testing.assert_array_equal(window, point_window(hw, K))
             x = P.v + (rng.uniform(-1.2, 1.2, 3) * K * hw) @ P.frame.matrix()
             coords = np.abs((x - P.v) @ P.frame.matrix().T)
             if np.all(np.abs(coords - K * hw) > 1e-9):

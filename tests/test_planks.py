@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import clustered_unit_family, random_unit_family
 from tangencylab.errors import EmptyFamilyError, InvalidParamsError
@@ -18,9 +19,11 @@ from tangencylab.families import (
 )
 from tangencylab.geometry import (
     Lightplank,
+    containment_slack,
     mutual_containment,
     plank_axes,
     plank_comparable,
+    plank_contains,
     rotate_plank_z,
     wrap_angle,
 )
@@ -28,6 +31,7 @@ from tangencylab.incidence import count_ct_delta_bruteforce
 from tangencylab.planks import (
     PlankCollection,
     _assign_points,
+    _dyadic_floor,
     _grid_bounds,
     _grid_sat_cells,
     _pack_idx,
@@ -39,6 +43,7 @@ from tangencylab.planks import (
     mu_buckets,
     pair_plank,
     richness,
+    slice_counts,
     verify_pairwise_incomparable,
 )
 
@@ -263,6 +268,20 @@ class TestRowExtents:
         assert peak < 32 * 2**20
 
 
+def _slice_members(coll, fam, K_rich):
+    """(slice index, packed key, richness) of every plank holding a point."""
+    per_slice = list(slice_counts(coll, fam.points.astype(float), K_rich))
+    sl = np.concatenate([np.full(keys.size, j) for j, (keys, _) in enumerate(per_slice)])
+    keys = np.concatenate([keys for keys, _ in per_slice])
+    counts = np.concatenate([counts for _, counts in per_slice])
+    return sl, keys, counts
+
+
+@pytest.fixture(scope="module")
+def r16_collection():
+    return enumerate_incomparable(16, S=16, K=2.0)
+
+
 class TestRichness:
     def test_empty_family(self):
         P = Lightplank(frame=plank_axes(0.3), v=np.array([5.0, 5.0, 5.0]), A=1.0, B=16.0)
@@ -290,8 +309,7 @@ class TestRichness:
     def test_bucket_members_match_direct_scan(self):
         coll = enumerate_incomparable(32, S=32, K=2.0)
         fam = gen_maximal_separated(32, 4)
-        table = mu_buckets(coll, fam, K=1.0)
-        sl, keys, counts = table.members
+        sl, keys, counts = _slice_members(coll, fam, 1.0)
         rng = np.random.default_rng(5)
         for t in rng.integers(0, len(keys), min(60, len(keys))):
             j = int(sl[t])
@@ -303,17 +321,21 @@ class TestRichness:
     @pytest.mark.parametrize("K_rich", [1.0, 2.0, 3.0])
     def test_assign_points_matches_richness(self, K_rich):
         # K_rich = 1 scans one offset per axis, 2 and 3 scan two. Points sit
-        # 1e-9 inside or outside membership windows of kept cells, where the
-        # grid snap ties, and anywhere in and around the box.
+        # half a slack inside the dilation's faces or one slack outside the
+        # slack-widened window of kept cells, where the grid snap ties, and
+        # anywhere in and around the box. At K_rich = K the faces of
+        # neighbouring cells meet, so the nudges keep clear of both windows'
+        # edges.
         coll = enumerate_incomparable(16, S=16, K=2.0)
         rng = np.random.default_rng(int(K_rich))
         window = K_rich * coll.half_widths
+        slack = containment_slack(window)
         pts = [rng.uniform(-6.0, 22.0, (200, 3))]
         for j in range(len(coll.slices)):
             _, _, centers = coll.slice_cells(j)
             pick = centers[rng.integers(0, len(centers), 6)]
             signs = rng.choice([-1.0, 0.0, 1.0], (6, 3))
-            nudge = rng.choice([-1e-9, 1e-9], (6, 3))
+            nudge = rng.choice([-0.5, 2.0], (6, 3)) * slack
             pts.append(pick + (signs * (window + nudge)) @ coll.slices[j].frame.matrix())
         fam = CircleFamily(np.vstack(pts), 16.0, 0.0, cube_box(16), {})
         n_incidences = 0
@@ -344,13 +366,44 @@ class TestRichness:
             pairs = np.column_stack([pt_ids, keys])
             assert np.unique(pairs, axis=0).shape[0] == pairs.shape[0] > 0
 
+    # K_rich = 4 - 4e-9 at K = 2: the slack widens the window past 2 grid
+    # spacings, so a point at a cell center lies in both neighbours' windows
+    # and three cells per axis must be scanned
+    @pytest.mark.parametrize("K_rich", [1.0, 2.0, 3.0, 4.0 - 4e-9])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_face_points_one_membership_rule(self, r16_collection, K_rich, data):
+        # points exactly on K_rich-dilation faces, edges and corners of kept
+        # cells (and at their centers): the grid snap, the direct scan and
+        # the point predicate count every plank alike
+        coll = r16_collection
+        j = data.draw(st.integers(0, len(coll.slices) - 1), label="slice")
+        ks, _, centers = coll.slice_cells(j)
+        n = data.draw(st.integers(1, 12), label="points")
+        pick = data.draw(st.lists(st.integers(0, len(ks) - 1), min_size=n, max_size=n))
+        sign = st.sampled_from([-1.0, 0.0, 1.0])
+        signs = np.array(data.draw(st.lists(st.tuples(sign, sign, sign), min_size=n, max_size=n)))
+        U = coll.slices[j].frame.matrix()
+        pts = centers[pick] + (signs * (K_rich * coll.half_widths)) @ U
+        fam = CircleFamily(pts, 16.0, 0.0, cube_box(16), {})
+
+        pt_ids, keys = _assign_points(coll, j, pts, K_rich)
+        assigned = dict(zip(*(a.tolist() for a in np.unique(keys, return_counts=True))))
+        reach = np.linalg.norm(K_rich * coll.half_widths) * (1 + 1e-6) + 1e-6
+        for k, c in zip(ks.tolist(), centers):
+            P = coll.plank_at(j, c)
+            near = np.linalg.norm(pts - c, axis=1) <= reach
+            direct = sum(plank_contains(P, x, K_rich) for x in pts[near])
+            assert assigned.get(k, 0) == richness(P, fam, K=K_rich) == direct
+        for t, x in zip(pick, pts):
+            assert plank_contains(coll.plank_at(j, centers[t]), x, K_rich)
+
     def test_grid_assignment_total_incidences(self):
         # the per-angle snap assignment must reproduce the definitional scan
         # in aggregate: sum of richness over all planks = total memberships
         coll = enumerate_incomparable(16, S=16, K=2.0)
         fam = gen_maximal_separated(16, 4)
-        table = mu_buckets(coll, fam, K=1.0)
-        total_fast = int(table.members[2].sum())
+        total_fast = int(_slice_members(coll, fam, 1.0)[2].sum())
         total_direct = sum(richness(P, fam, K=1.0) for P in coll.planks())
         assert total_fast == total_direct
 
@@ -367,11 +420,12 @@ class TestMuBuckets:
         fam = gen_maximal_separated(32, 4)
         table = mu_buckets(coll, fam, K=1.0)
         assert sum(table.mu_buckets.values()) == table.n_rich
-        _, _, counts = table.members
+        _, _, counts = _slice_members(coll, fam, 1.0)
+        assert counts.size == table.n_rich and counts.max() == table.max_richness
         for mu, n in table.mu_buckets.items():
             assert int(np.sum((counts >= mu) & (counts < 2 * mu))) == n
         for c in counts[:20]:
-            assert table.bucket_of(int(c)) in table.mu_buckets
+            assert _dyadic_floor(int(c)) in table.mu_buckets
 
     def test_dyadic_counts_exact(self):
         # 2^k - 1 and 2^k straddle a bucket edge; near 2^53 the float log2
@@ -390,7 +444,7 @@ class TestMuBuckets:
         good = 0
         for seed in range(20):
             fam = gen_random_wellspaced(2**10, 2**5, 0.2, seed)
-            table = mu_buckets(coll, fam, K=1.0, keep_members=False)
+            table = mu_buckets(coll, fam, K=1.0)
             if table.n_rich == 0:
                 continue
             top = max(table.mu_buckets.values())
