@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -46,6 +45,8 @@ from .planks import (
     slice_counts,
 )
 
+# runtime_ms stays in the schema but is left empty: wall-clock time would
+# make two runs of one config differ, and reports are byte-stable
 CSV_COLUMNS = [
     "experiment", "R", "rho", "delta", "eps", "K", "seed",
     "lhs", "rhs", "ratio", "mu_hat", "pass", "runtime_ms",
@@ -69,7 +70,7 @@ class ExperimentReport:
         lines = ["# provenance=" + self.summary.get("provenance", "")]
         lines.append(",".join(CSV_COLUMNS))
         for row in self.rows:
-            lines.append(",".join(_csv_cell(row[c]) for c in CSV_COLUMNS))
+            lines.append(",".join(_csv_cell(row.get(c, "")) for c in CSV_COLUMNS))
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path):
@@ -206,29 +207,25 @@ def run_rectangle_bound(
 
 def _rectangle_job(args) -> dict:
     R, rho_law, K = args
-    t0 = time.time()
     rho = math.sqrt(R) if rho_law == "sqrt" else float(rho_law)
     fam = gen_maximal_separated(R, rho)
     sep_ok, _ = check_separation(fam, rho)
     card_ok = (R / rho) ** 3 / 8 <= len(fam) <= 8 * (R / rho) ** 3
-    return _rectangle_row(R, rho, K, fam, "1" if (sep_ok and card_ok) else "flagged", t0)
+    return _rectangle_row(R, rho, K, fam, "1" if (sep_ok and card_ok) else "flagged")
 
 
 def _rectangle_control_row(R: float, N: int, K: float) -> dict:
     """Clamshell control: wildly non-spaced family through the same pipeline."""
-    t0 = time.time()
     unit = gen_clamshell(N)
     pts = unit.points * (R / 2.0)
     fam = CircleFamily(
         points=pts, scale_R=R, separation_rho=math.sqrt(R), box=cube_box(R),
         provenance={"generator": "clamshell_control", "N": N},
     )
-    return _rectangle_row(R, math.sqrt(R), K, fam, "flagged", t0)
+    return _rectangle_row(R, math.sqrt(R), K, fam, "flagged")
 
 
-def _rectangle_row(
-    R: float, rho: float, K: float, fam: CircleFamily, verdict: str, t0: float
-) -> dict:
+def _rectangle_row(R: float, rho: float, K: float, fam: CircleFamily, verdict: str) -> dict:
     """The rectangle_bound row of one family: enumerate, bucket, take the richest bucket."""
     coll = enumerate_incomparable(R, S=R, K=K)
     table = mu_buckets(coll, fam, K=1.0)
@@ -237,7 +234,7 @@ def _rectangle_row(
     return {
         "experiment": "rectangle_bound", "R": R, "rho": rho, "delta": "", "eps": "",
         "K": K, "seed": "", "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs, "mu_hat": mu_hat,
-        "pass": verdict, "runtime_ms": int(1000 * (time.time() - t0)),
+        "pass": verdict,
     }
 
 
@@ -270,7 +267,6 @@ def run_ct_bound(delta_values, rho: float = 4.0, workers: int = 1) -> Experiment
 
 def _ct_job(args) -> dict:
     delta, rho = args
-    t0 = time.time()
     R = 1.0 / delta
     fam_R = gen_maximal_separated(R, rho, box_kind="annular")
     fam = fam_R.rescale(delta)
@@ -298,7 +294,6 @@ def _ct_job(args) -> dict:
         "ratio": ordered / rhs if rhs > 0 else 0.0,
         "mu_hat": mu_hat,
         "pass": "1" if (sep_ok and card_ok) else "flagged",
-        "runtime_ms": int(1000 * (time.time() - t0)),
     }
 
 
@@ -350,7 +345,6 @@ def run_exact_ct(n_values) -> ExperimentReport:
     rows = []
     sizes, counts = [], []
     for n in n_values:
-        t0 = time.time()
         fam = gen_integer_lattice(n)
         pairs = count_ct0_exact(fam, with_bins=True)
         sep_ok, _ = check_separation(fam, math.sqrt(fam.scale_R))
@@ -366,7 +360,6 @@ def run_exact_ct(n_values) -> ExperimentReport:
             "K": "", "seed": "", "lhs": len(pairs), "rhs": exponent_norm,
             "ratio": len(pairs) / exponent_norm, "mu_hat": degenerate_rays,
             "pass": "flagged" if flags else "1",
-            "runtime_ms": int(1000 * (time.time() - t0)),
         })
         sizes.append(len(fam))
         counts.append(len(pairs))
@@ -409,7 +402,6 @@ def run_lemma28_check(family: CircleFamily, delta: float, A: float = 2.0) -> Exp
         bucket = binned.by_distance[D]
         if D < delta or bucket.shape[0] == 0:
             continue
-        t0 = time.time()
         kept, coverage_ok, incomp_violations = _lemma28_extract(family, bucket, delta, D, A)
         rhs = float(sum(richness(P, family, K=A) ** 2 for P in kept))
         lhs = float(bucket.shape[0])
@@ -419,7 +411,6 @@ def run_lemma28_check(family: CircleFamily, delta: float, A: float = 2.0) -> Exp
             experiment="lemma28", R=D, rho="", delta=delta, eps="", K=A, seed="",
             lhs=lhs, rhs=rhs, ratio=ratio, mu_hat=len(kept),
             **{"pass": "1" if coverage_ok else "0"},
-            runtime_ms=int(1000 * (time.time() - t0)),
         )
         details[repr(D)] = {
             "pairs": int(lhs), "planks": len(kept), "ratio": ratio,
@@ -569,7 +560,6 @@ def run_sharpness(
     exact_judged = judged_m.size > 0
     results = []
     for seed in seeds:
-        t0 = time.time()
         fam = gen_random_wellspaced(R, rho, eps, seed)
         occ = cube_occupancy(fam, rho)
         occupancy_ok = occ.max_count <= 10.0 * R**eps
@@ -595,7 +585,6 @@ def run_sharpness(
             ratio=occ.max_count / (10.0 * R**eps),
             mu_hat=stats_seed["max_count"],
             **{"pass": "0" if not seed_ok else ("flagged" if None in gates else "1")},
-            runtime_ms=int(1000 * (time.time() - t0)),
         )
     n_pass = sum(1 for r in results if r["pass"])
     report.summary = {
@@ -753,7 +742,6 @@ def chernoff_tails(n: int, p: float, trials: int, seed: int = 0) -> ExperimentRe
     if n < 1 or not (0 < p < 1) or trials < 1:
         raise ValidationError("chernoff: need n >= 1, p in (0,1), trials >= 1")
     report = ExperimentReport(experiment="chernoff")
-    t0 = time.time()
     rng = np.random.default_rng(seed)
     sums = rng.binomial(n, p, size=trials)
     np_val = n * p
@@ -771,7 +759,6 @@ def chernoff_tails(n: int, p: float, trials: int, seed: int = 0) -> ExperimentRe
         exact_ok = [_leq_exp_bound(eu, -5.0 * np_val), _leq_exp_bound(el, -np_val / 2.0)]
         exact_upper, exact_lower = float(eu), float(el)
 
-    runtime = int(1000 * (time.time() - t0))
     for name, freq, bound, ok_mc, ok_exact, exact_val in (
         ("chernoff_upper", upper_freq, upper_bound, rows_ok[0], exact_ok[0], exact_upper),
         ("chernoff_lower", lower_freq, lower_bound, rows_ok[1], exact_ok[1], exact_lower),
@@ -784,7 +771,6 @@ def chernoff_tails(n: int, p: float, trials: int, seed: int = 0) -> ExperimentRe
             experiment=name, R=n, rho="", delta=p, eps="", K="", seed=seed,
             lhs=lhs, rhs=bound, ratio=ratio, mu_hat=freq,
             **{"pass": "1" if (ok_mc and ok_exact) else "0"},
-            runtime_ms=runtime,
         )
     report.summary = {
         "gates_pass": all(rows_ok) and all(exact_ok),

@@ -43,16 +43,16 @@ from .geometry import (
     Circle3,
     Lightplank,
     PlankFrame,
+    comparability_graph,
     containment_window,
     in_window,
-    mutual_containment,
     plank_axes,
     point_window,
     tangency_point,
     tangency_rect,
     wrap_angle,
 )
-from .incidence import lift_rect
+from .incidence import count_ct_delta_hashed, lift_rect
 
 # Center-grid indices are signed; they are packed after this offset, so
 # each must lie in [-2^20, 2^20). Enumeration scales keep them far inside.
@@ -377,9 +377,10 @@ def enumerate_incomparable(
 
 
 def _evict(cache: dict, j: int, T: int, window: int):
-    # keep the first `window` slices for the wraparound comparisons
+    # later slices look back `window` slices; keep the first `window` slices
+    # for the wraparound comparisons
     for jj in list(cache):
-        if jj < j - window and jj >= window:
+        if jj <= j - window and jj >= window:
             del cache[jj]
 
 
@@ -392,14 +393,15 @@ def _earlier_neighbors(j: int, T: int, window: int) -> list[int]:
 
 
 def _comparability_window(step: float, T: int, hw: np.ndarray, K: float) -> int:
-    """First angle-index gap in 1..T-1 at which no two lattice planks are comparable.
+    """The last angle-index gap before the first at which no two lattice planks are comparable.
 
     Containment needs a containment window with no negative axis; the
     window depends only on the angle gap, and serves both directions, so
-    the first gap with a negative axis bounds the window. T when none has.
+    only the gaps below the first with a negative axis are visited. T - 1
+    when no gap in 1..T-1 has one.
     """
     feasible = np.all(containment_window(step * np.arange(1, T), hw, K) >= 0, axis=-1)
-    return T if feasible.all() else int(np.argmin(feasible)) + 1
+    return T - 1 if feasible.all() else int(np.argmin(feasible))
 
 
 def _containment_hits(
@@ -683,59 +685,60 @@ def bilinear_rich(
     reaches mu circles of the first family and nu of the second, and are
     deduplicated by K-incomparability of their lifted planks. The reported
     ratio divides the count by (|B||W|/(mu nu))^(3/4) + |B|/mu + |W|/nu.
+
+    The cross pairs, in (i, j) order, are the near sweep's pairs of B
+    followed by W with i in B and j in W: the gap is exact under a sign flip
+    of the differences, so a scan of B against W finds the same. The lifted
+    planks share one shape, so the dedupe walks their comparability graph:
+    a candidate is kept exactly when none of its earlier neighbours is, as
+    a scan against every kept plank would decide.
     """
     if len(B_fam) == 0 or len(W_fam) == 0:
         raise EmptyFamilyError("bilinear count needs two nonempty families")
+    if not (math.isfinite(delta) and delta > 0):
+        raise InvalidParamsError("delta: must be finite and positive")
     if mu < 1 or nu < 1:
-        raise ValueError("richness thresholds must be >= 1")
+        raise InvalidParamsError("mu, nu: richness thresholds must be >= 1")
+    nb = len(B_fam)
+    pts = np.vstack([B_fam.points.astype(float), W_fam.points.astype(float)])
     scale = max(B_fam.scale_R, W_fam.scale_R)
-    d_bw = _set_distance(B_fam.points.astype(float), W_fam.points.astype(float))
+    d_bw = _set_distance(pts[:nb], pts[nb:])
     if not (scale / 20.0 <= d_bw <= 20.0 * scale):
         warnings.warn(
             f"family distance {d_bw:.3g} is not comparable to the scale {scale:.3g}",
             stacklevel=2,
         )
-    lo3 = min(B_fam.points[:, 2].min(), W_fam.points[:, 2].min())
-    hi3 = max(B_fam.points[:, 2].max(), W_fam.points[:, 2].max())
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    both = CircleFamily(pts, scale, 0.0, tuple(zip(lo.tolist(), hi.tolist())), {})
+    pairs = count_ct_delta_hashed(both, delta).pairs
+    cross = pairs[(pairs[:, 0] < nb) & (pairs[:, 1] >= nb)]
+    rects, planks = [], []
+    for i, j in cross.tolist():
+        ci = B_fam.circle(i)
+        cj = W_fam.circle(j - nb)
+        if ci.center == cj.center:
+            continue
+        rect = tangency_rect(ci, cj, delta)
+        if len(lift_rect(rect, B_fam, delta)) < mu or len(lift_rect(rect, W_fam, delta)) < nu:
+            continue
+        rects.append(rect)
+        planks.append(rect_plank(*tangency_point(ci, cj), delta, float(lo[2]), float(hi[2])))
 
-    rects = []
-    # kept planks share their dimensions: (theta, center, frame matrix) each
-    k_thetas, k_centers, k_mats = [], [], []
-    n_cross = 0
-    bp = B_fam.points.astype(float)
-    wp = W_fam.points.astype(float)
-    for i in range(bp.shape[0]):
-        gaps = np.abs(
-            np.hypot(bp[i, 0] - wp[:, 0], bp[i, 1] - wp[:, 1]) - np.abs(bp[i, 2] - wp[:, 2])
-        )
-        for jj in np.nonzero(gaps < delta)[0]:
-            n_cross += 1
-            ci = B_fam.circle(i)
-            cj = W_fam.circle(int(jj))
-            if ci.center == cj.center:
-                continue
-            rect = tangency_rect(ci, cj, delta)
-            if len(lift_rect(rect, B_fam, delta)) < mu:
-                continue
-            if len(lift_rect(rect, W_fam, delta)) < nu:
-                continue
-            z_star, u = tangency_point(ci, cj)
-            cand = rect_plank(z_star, u, delta, float(lo3), float(hi3))
-            U = cand.frame.matrix()
-            if k_thetas:
-                inside, holds = mutual_containment(
-                    cand.frame.theta, cand.v, U, np.array(k_thetas), np.array(k_centers),
-                    np.array(k_mats), cand.half_widths(), K,
-                )
-                if np.any(inside | holds):
-                    continue
-            k_thetas.append(cand.frame.theta)
-            k_centers.append(cand.v)
-            k_mats.append(U)
-            rects.append(rect)
+    m = len(planks)
+    hw = planks[0].half_widths() if planks else np.zeros(3)
+    earlier, later, _, _ = comparability_graph(
+        np.array([P.frame.theta for P in planks]), np.array([P.v for P in planks]).reshape(m, 3),
+        np.array([P.frame.matrix() for P in planks]).reshape(m, 3, 3), hw, K,
+    )
+    edge_start = np.searchsorted(later, np.arange(m + 1))
+    kept = np.zeros(m, dtype=bool)
+    for t in range(m):
+        kept[t] = not kept[earlier[edge_start[t]:edge_start[t + 1]]].any()
+    rects = [r for r, k in zip(rects, kept) if k]
     rhs = (len(B_fam) * len(W_fam) / (mu * nu)) ** 0.75 + len(B_fam) / mu + len(W_fam) / nu
     return BilinearRichResult(
-        count=len(rects), rhs=rhs, ratio=len(rects) / rhs, n_cross_pairs=n_cross, rects=rects
+        count=len(rects), rhs=rhs, ratio=len(rects) / rhs, n_cross_pairs=int(cross.shape[0]),
+        rects=rects,
     )
 
 

@@ -191,11 +191,33 @@ class TestExperimentCommand:
         assert run_cli("experiment", "--config", str(cfg), "--out", str(tmp_path / "cfg")) == 0
 
         def rows(sub):
-            lines = (tmp_path / sub / "sharpness.csv").read_text().splitlines()[2:]
-            return [ln.rsplit(",", 1)[0] for ln in lines]  # drop runtime_ms
+            return (tmp_path / sub / "sharpness.csv").read_text().splitlines()[2:]
 
         assert [row.split(",")[6] for row in rows("env")] == ["7", "8"]
         assert rows("env") == rows("cfg")
+
+    def test_reports_byte_identical_across_runs_and_workers(self, tmp_path):
+        fam = tmp_path / "fam.txt"
+        assert run_cli("generate", "--kind", "clamshell", "--N", "12", "-o", str(fam)) == 0
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(
+            "[rectangle_bound]\nR = 64,128\nslope_gate = 0.35\ncontrol = 1\ncontrol_N = 20\n\n"
+            "[ct_bound]\ndelta = 0.0625,0.03125\nrho = 4\n\n"
+            "[exact_ct]\nn = 3,4\n\n"
+            f"[lemma28]\nfamily = {fam}\ndelta = 0.02\nA = 2\n\n"
+            "[sharpness]\nR = 256\nrho = 16\neps = 0.25\nseeds = 0:1\n\n"
+            "[chernoff]\nn = 100\np = 0.05\ntrials = 1000\nseed = 3\n"
+        )
+        runs = [("a", "1"), ("b", "1"), ("c", "2")]
+        for sub, workers in runs:
+            assert run_cli("experiment", "--config", str(cfg), "--out", str(tmp_path / sub),
+                           "--workers", workers) == 0
+        names = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert len(names) == 12
+        for sub, _ in runs[1:]:
+            assert sorted(p.name for p in (tmp_path / sub).iterdir()) == names
+            for name in names:
+                assert (tmp_path / sub / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
 
     def test_malformed_config_exit_2(self, tmp_path):
         cfg = tmp_path / "cfg.ini"

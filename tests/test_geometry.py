@@ -264,14 +264,14 @@ def _boundary_plank_pairs(draw):
         st.sampled_from([-math.pi, -math.pi + 1e-3, math.pi - 1e-3, math.pi - 1e-12]),
     ))
     if draw(st.booleans()):
-        # lattice dimensions at _comparability_window's first infeasible gap,
-        # or the last feasible one before it
+        # lattice dimensions at _comparability_window's last feasible gap,
+        # or the first infeasible one after it
         S = draw(st.integers(1, 300))
         A, B = 1.0, float(S)
         T = int(math.ceil(2.0 * math.pi * math.sqrt(S)))
         step = 2.0 * math.pi / T
         m = _comparability_window(step, T, np.array([A, math.sqrt(A * B), B]) / 2.0, K)
-        gap = draw(st.sampled_from([m, m - 1])) * step * draw(st.sampled_from([1, -1]))
+        gap = draw(st.sampled_from([m + 1, m])) * step * draw(st.sampled_from([1, -1]))
     else:
         side = st.floats(1e-2, 1e2)
         A, B = sorted([draw(side), draw(side)], reverse=draw(st.booleans()))  # A < B and A > B

@@ -25,9 +25,11 @@ from tangencylab.geometry import (
     plank_comparable,
     plank_contains,
     rotate_plank_z,
+    tangency_point,
+    tangency_rect,
     wrap_angle,
 )
-from tangencylab.incidence import count_ct_delta_bruteforce
+from tangencylab.incidence import count_ct_delta_bruteforce, lift_rect
 from tangencylab.planks import (
     PlankCollection,
     _assign_points,
@@ -42,6 +44,7 @@ from tangencylab.planks import (
     enumerate_incomparable,
     mu_buckets,
     pair_plank,
+    rect_plank,
     richness,
     slice_counts,
     verify_pairwise_incomparable,
@@ -528,3 +531,116 @@ class TestBilinear:
         W = CircleFamily(shifted, 1.0, 0.0, unit_box(), {"generator": "shifted"})
         with pytest.warns(UserWarning, match="distance"):
             bilinear_rich(B, W, 0.001, mu=1, nu=1)
+
+
+def _row_scan_bilinear(B_fam, W_fam, delta, mu, nu, K=2.0):
+    """(count, n_cross_pairs, rects) of bilinear_rich by a row scan of B against W.
+
+    The reference for bilinear_rich: each row of B is tested against all of
+    W in index order, and each rich candidate against every kept plank.
+    """
+    lo3 = min(B_fam.points[:, 2].min(), W_fam.points[:, 2].min())
+    hi3 = max(B_fam.points[:, 2].max(), W_fam.points[:, 2].max())
+    bp, wp = B_fam.points.astype(float), W_fam.points.astype(float)
+    rects, kept, n_cross = [], [], 0
+    for i in range(bp.shape[0]):
+        gaps = np.abs(
+            np.hypot(bp[i, 0] - wp[:, 0], bp[i, 1] - wp[:, 1]) - np.abs(bp[i, 2] - wp[:, 2])
+        )
+        for j in np.nonzero(gaps < delta)[0]:
+            n_cross += 1
+            ci, cj = B_fam.circle(i), W_fam.circle(int(j))
+            if ci.center == cj.center:
+                continue
+            rect = tangency_rect(ci, cj, delta)
+            if len(lift_rect(rect, B_fam, delta)) < mu or len(lift_rect(rect, W_fam, delta)) < nu:
+                continue
+            cand = rect_plank(*tangency_point(ci, cj), delta, float(lo3), float(hi3))
+            if kept and _kernel_comparable_any(cand, kept, K):
+                continue
+            kept.append(cand)
+            rects.append(rect)
+    return len(rects), n_cross, rects
+
+
+def _family(points, name):
+    return CircleFamily(points, 1.0, 0.0, unit_box(), {"generator": name})
+
+
+def _clamshells():
+    t1, t2 = np.linspace(0.05, 0.45, 12), np.linspace(0.55, 0.95, 12)
+    return tuple(
+        _family(np.column_stack([t, np.zeros_like(t), 1 + t]), name)
+        for t, name in ((t1, "clamB"), (t2, "clamW"))
+    )
+
+
+def _uniform_halves(seed, n):
+    pts = random_unit_family(seed, n).points
+    left = pts[:, 0] < 0.0
+    return _family(pts[left], "left"), _family(pts[~left], "right")
+
+
+def _integer_and_float():
+    g = np.arange(4)
+    B = np.array([(x, y, 1 + r) for x in g for y in g for r in g], dtype=np.int64)
+    rng = np.random.default_rng(3)
+    W = B[rng.choice(len(B), 30, replace=False)] + rng.uniform(-0.3, 0.3, (30, 3))
+    return _family(B, "lattice"), _family(W, "jittered")
+
+
+def _shared_point():
+    B = clustered_unit_family(41, 80)
+    W = clustered_unit_family(42, 80).points.copy()
+    W[0] = B.points[5]
+    return B, _family(W, "shared")
+
+
+def _cross_gap(B, W, k):
+    """The k-th smallest positive cross-pair gap of B and W."""
+    bp, wp = B.points.astype(float), W.points.astype(float)
+    d = bp[:, None, :] - wp[None, :, :]
+    gaps = np.abs(np.hypot(d[..., 0], d[..., 1]) - np.abs(d[..., 2])).ravel()
+    return float(np.sort(gaps[gaps > 0])[k])
+
+
+_CLUSTERED_80 = (clustered_unit_family(41, 80), clustered_unit_family(42, 80))
+_GAP = _cross_gap(*_CLUSTERED_80, 40)
+
+
+@pytest.mark.filterwarnings("ignore:family distance")
+class TestBilinearComposition:
+    @pytest.mark.parametrize("families,delta,mu,nu", [
+        (_clamshells(), 0.01, 12, 12),
+        (_clamshells(), 0.01, 1, 1),
+        (_CLUSTERED_80, 0.02, 1, 1),
+        (_CLUSTERED_80, 0.02, 16, 12),
+        ((clustered_unit_family(43, 400), clustered_unit_family(44, 400)), 0.01, 2, 2),
+        (_uniform_halves(7, 600), 0.01, 1, 1),
+        (_integer_and_float(), 0.3, 1, 1),
+        (_shared_point(), 0.02, 1, 1),
+        (_CLUSTERED_80, math.nextafter(_GAP, 0.0), 1, 1),
+        (_CLUSTERED_80, _GAP, 1, 1),
+        (_CLUSTERED_80, math.nextafter(_GAP, 1.0), 1, 1),
+    ], ids=["clamshells", "clamshells-mu1", "clustered80", "clustered80-rich", "clustered400",
+            "uniform-halves", "integer-float", "shared-point", "gap-1ulp", "gap", "gap+1ulp"])
+    def test_matches_row_scan(self, families, delta, mu, nu):
+        res = bilinear_rich(*families, delta, mu, nu)
+        count, n_cross, rects = _row_scan_bilinear(*families, delta, mu, nu)
+        assert (res.count, res.n_cross_pairs, res.rects) == (count, n_cross, rects)
+        assert n_cross > 0
+
+    def test_gap_cases_differ_by_the_pair(self):
+        counts = [bilinear_rich(*_CLUSTERED_80, d, 1, 1).n_cross_pairs
+                  for d in (_GAP, math.nextafter(_GAP, 1.0))]
+        assert counts[1] == counts[0] + 1
+
+    @pytest.mark.parametrize("delta", [0.0, math.inf, math.nan])
+    def test_delta_must_be_finite_and_positive(self, delta):
+        with pytest.raises(InvalidParamsError, match="delta"):
+            bilinear_rich(*_CLUSTERED_80, delta, 1, 1)
+
+    @pytest.mark.parametrize("mu,nu", [(0, 1), (1, 0)])
+    def test_thresholds_below_one(self, mu, nu):
+        with pytest.raises(InvalidParamsError, match="mu"):
+            bilinear_rich(*_CLUSTERED_80, 0.02, mu, nu)
