@@ -17,7 +17,7 @@ import os
 import sys
 
 from . import experiments as ex
-from .errors import EmptyFamilyError, InvalidParamsError, ValidationError
+from .errors import InvalidParamsError, TangencyLabError
 from .families import (
     gen_clamshell,
     gen_integer_lattice,
@@ -34,10 +34,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidParamsError, ValidationError, EmptyFamilyError, ValueError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (TangencyLabError, ValueError, TypeError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

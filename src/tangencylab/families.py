@@ -104,9 +104,6 @@ class CircleFamily:
             return Circle3(center=(int(x1), int(x2)), radius=int(x3))
         return Circle3(center=(float(x1), float(x2)), radius=float(x3))
 
-    def circles(self):
-        return [self.circle(i) for i in range(len(self))]
-
     def validate(self):
         """Check box membership, radii, and absence of duplicates.
 

@@ -20,12 +20,19 @@ whether a cell belongs to it are then index arithmetic.
 Collections can be huge (about R^2 planks at S = R), so a collection stores
 per-angle row extents plus the sparse rejection set instead of materialized
 boxes; slices are regenerated on demand by the same deterministic code
-path. Richness of every plank against a family is computed per angle by
-snapping each point to the center grid, which is exact because membership
-windows never span more than a bounded number of grid cells. Membership is
-geometry.point_window everywhere: the direct scan and the grid snap apply
-the same window to the same offsets, so they agree on points that lie on a
-plank's faces.
+path.
+
+The greedy and the richness count ask a center grid one question: which
+cells have their center within a per-axis window of a point, and which of
+those are kept planks of the slice. `_window_cells` lists the cells,
+scanning the offsets -r..r around the nearest cell, r = floor(max(w / s) +
+1/2), which is exact: no cell farther than that lies in the window. `_kept`
+keeps the cells inside the slice's row extents and not rejected. The
+greedy asks it of plank centers with the containment window, which is
+below half a spacing, so r = 0; the richness count asks it of family points
+with geometry.point_window. Membership is point_window everywhere: the
+direct scan and the grid snap apply the same window to the same offsets,
+so they agree on points that lie on a plank's faces.
 """
 
 from __future__ import annotations
@@ -349,120 +356,104 @@ def enumerate_incomparable(
     step = 2.0 * math.pi / T
     thetas = [wrap_angle(-math.pi + step * j) for j in range(T)]
     frames = [plank_axes(t) for t in thetas]
-    window = _comparability_window(step, T, hw, K)
+    gaps = _comparable_gaps(step, T, hw, K)
+    # slice j2 is looked back at by the slices j2 + g, g in gaps, up to T - 1
+    last_use = [j2 + int(gaps[gaps < T - j2].max(initial=0)) for j2 in range(T)]
 
-    cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+    cache: dict[int, np.ndarray] = {}  # kept centers of the slices still looked back at
     specs: list[_SliceSpec] = []
     for j in range(T):
         extents = _row_extents(frames[j], spacing, hw, box)
         keys, _, centers = _grid_sat_cells(extents, frames[j], spacing)
-        kept = np.ones(keys.size, dtype=bool)
-        for j2 in _earlier_neighbors(j, T, window):
-            u_keys, u_centers, u_kept = cache[j2]
-            if keys.size and u_keys.size:
-                hits = _comparable_hits(
-                    keys, centers, frames[j], u_keys, u_centers, u_kept, frames[j2], spacing, hw, K
-                )
-                kept &= ~hits
+        hits = np.zeros(keys.size, dtype=bool)
+        if keys.size:
+            for j2 in (j - gaps[gaps <= j]).tolist():
+                hits |= _comparable_hits(keys, centers, frames[j], specs[j2], cache[j2], spacing, hw, K)
         specs.append(
             _SliceSpec(
-                theta=thetas[j], frame=frames[j], n_sat=int(keys.size), rejected=keys[~kept],
+                theta=thetas[j], frame=frames[j], n_sat=int(keys.size), rejected=keys[hits],
                 extents=extents,
             )
         )
-        cache[j] = (keys, centers, kept)
-        _evict(cache, j, T, window)
+        cache[j] = centers[~hits]
+        for j2 in [jj for jj in cache if last_use[jj] <= j]:
+            del cache[j2]
     coll.slices = specs
     return coll
 
 
-def _evict(cache: dict, j: int, T: int, window: int):
-    # later slices look back `window` slices; keep the first `window` slices
-    # for the wraparound comparisons
-    for jj in list(cache):
-        if jj <= j - window and jj >= window:
-            del cache[jj]
-
-
-def _earlier_neighbors(j: int, T: int, window: int) -> list[int]:
-    out = list(range(max(0, j - window), j))
-    for j2 in range(0, window - (T - 1 - j)):  # wraparound partners
-        if j2 < j and j2 not in out:
-            out.append(j2)
-    return out
-
-
-def _comparability_window(step: float, T: int, hw: np.ndarray, K: float) -> int:
-    """The last angle-index gap before the first at which no two lattice planks are comparable.
+def _comparable_gaps(step: float, T: int, hw: np.ndarray, K: float) -> np.ndarray:
+    """The angle-index gaps in 1..T-1 at which two lattice planks can be comparable.
 
     Containment needs a containment window with no negative axis; the
-    window depends only on the angle gap, and serves both directions, so
-    only the gaps below the first with a negative axis are visited. T - 1
-    when no gap in 1..T-1 has one.
+    window depends only on the angle gap, is even in it, and serves both
+    directions. The feasible gaps need not run from 1: turning the frame by
+    pi swaps its long and short axes, so when S is below about K the gaps
+    near T / 2 can be feasible while gap 1 is not.
     """
     feasible = np.all(containment_window(step * np.arange(1, T), hw, K) >= 0, axis=-1)
-    return T - 1 if feasible.all() else int(np.argmin(feasible))
+    return np.flatnonzero(feasible) + 1
 
 
-def _containment_hits(
-    inner_centers: np.ndarray,
-    inner_frame: PlankFrame,
-    outer_frame: PlankFrame,
-    spacing: np.ndarray,
-    hw: np.ndarray,
-    K: float,
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Inner planks contained in the K-dilation of some outer lattice plank.
+def _window_cells(
+    coords: np.ndarray, spacing: np.ndarray, window: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(row, grid index) of every center-grid cell whose center is in_window of a point.
 
-    Returns (mask over inner_centers, outer grid indices (h, 3)) or None if
-    the frame pair rules containment out entirely. Containment is a
-    per-axis containment window around the outer grid; the window is below
-    half the spacing, making the nearest grid point the only candidate.
+    coords are points (n, 3) in the grid's frame. On each axis a cell within
+    the window lies at most w / s + 1/2 cells from the nearest one, so the
+    offsets -r..r around it, r = floor(max(w / s) + 1/2), hold every such
+    cell. in_window's test |c - k s| <= w is taken per axis and offset, and a
+    cell passes when its three axes do; a negative axis admits none.
+    Distinct offsets give distinct cells, so each (row, cell) is listed once.
     """
-    window = containment_window(inner_frame.theta - outer_frame.theta, hw, K)
-    if np.any(window < 0):
-        return None
-    coords = inner_centers @ outer_frame.matrix().T
-    k_cand = np.rint(coords / spacing)
-    ok = in_window(coords - k_cand * spacing, window)
-    return ok, k_cand[ok].astype(np.int64)
+    r = max(int(math.floor(np.max(window / spacing) + 0.5 + 1e-9)), 0)
+    off = np.arange(-r, r + 1, dtype=float)
+    near = np.rint(coords / spacing)
+    d = coords - (near + off[:, None, None]) * spacing  # (offset, point, axis)
+    ok = np.abs(d, out=d) <= window
+    hit = ok[:, None, None, :, 0] & ok[None, :, None, :, 1] & ok[None, None, :, :, 2]
+    cell, row = np.nonzero(hit.reshape(off.size**3, coords.shape[0]))
+    steps = np.stack(np.meshgrid(off, off, off, indexing="ij"), axis=-1).reshape(-1, 3)
+    return row, (near[row] + steps[cell]).astype(np.int64)
+
+
+def _kept(spec: _SliceSpec, idx: np.ndarray) -> np.ndarray:
+    """Mask of the grid indices (n, 3) that are kept planks of the slice."""
+    kept = spec.extents.contains(idx)
+    if spec.rejected.size and kept.any():
+        kept[kept] = ~np.isin(_pack_idx(idx[kept]), spec.rejected)
+    return kept
 
 
 def _comparable_hits(
     v_keys: np.ndarray,
     v_centers: np.ndarray,
     v_frame: PlankFrame,
-    u_keys: np.ndarray,
-    u_centers: np.ndarray,
-    u_kept: np.ndarray,
-    u_frame: PlankFrame,
+    u_spec: _SliceSpec,
+    u_kept_centers: np.ndarray,
     spacing: np.ndarray,
     hw: np.ndarray,
     K: float,
 ) -> np.ndarray:
-    """Candidates of the v-slice comparable to a kept plank of the u-slice."""
-    hits = np.zeros(v_centers.shape[0], dtype=bool)
+    """Candidates of the v-slice comparable to a kept plank of the (final) u-slice.
 
-    # v contained in the K-dilation of a kept u-plank
-    res = _containment_hits(v_centers, v_frame, u_frame, spacing, hw, K)
-    if res is not None:
-        ok, cells = res
-        if ok.any():
-            target = _pack_idx(cells)
-            pos = np.searchsorted(u_keys, target)
-            pos_ok = pos < u_keys.size
-            safe = np.where(pos_ok, pos, 0)
-            found = pos_ok & (u_keys[safe] == target) & u_kept[safe]
-            hits[np.nonzero(ok)[0][found]] = True
-
-    # a kept u-plank contained in the K-dilation of v
-    kept_centers = u_centers[u_kept]
-    if kept_centers.shape[0]:
-        res = _containment_hits(kept_centers, u_frame, v_frame, spacing, hw, K)
-        if res is not None:
-            ok, cells = res
-            if ok.any():
-                hits |= np.isin(v_keys, _pack_idx(cells))
+    A plank lies in the K-dilation of a lattice plank exactly when its
+    center, in the outer plank's frame, is within the containment window of
+    the outer center. The window is even in the angle gap, so one serves
+    both directions, and each direction is one _window_cells pass: v centers
+    on the u grid, whose cells must be kept (the u slice is final), and
+    u_kept_centers on the v grid, whose cells are found by packed key in the
+    sorted v_keys.
+    """
+    window = containment_window(v_frame.theta - u_spec.frame.theta, hw, K)
+    hits = np.zeros(v_keys.size, dtype=bool)
+    row, cells = _window_cells(v_centers @ u_spec.frame.matrix().T, spacing, window)
+    hits[row[_kept(u_spec, cells)]] = True
+    _, cells = _window_cells(u_kept_centers @ v_frame.matrix().T, spacing, window)
+    target = _pack_idx(cells)
+    pos = np.minimum(np.searchsorted(v_keys, target), v_keys.size - 1)
+    hits[pos[v_keys[pos] == target]] = True
     return hits
 
 
@@ -523,43 +514,17 @@ def _assign_points(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(point index, packed plank key) incidences for slice j.
 
-    Points snap to the center grid; the membership window w of
-    point_window(hw, K_rich) holds at most floor(2 w / spacing) + 1 grid
-    cells per axis, so scanning that many offsets from the lowest is exact.
-    Distinct offsets give a point distinct cells, so no incidence repeats.
-    Cells outside the enumeration (outside the slice's row extents, or
-    greedy rejected) are dropped.
+    The cells whose point_window(hw, K_rich) holds a point are its
+    _window_cells on the slice's center grid, each listed once; those that
+    are not kept planks (outside the row extents, or greedy rejected) are
+    dropped.
     """
     spec = coll.slices[j]
-    U = spec.frame.matrix()
-    spacing = coll.spacing
-    window = point_window(coll.half_widths, K_rich)
-    coords = pts @ U.T
-    base = np.ceil((coords - window) / spacing).astype(np.int64)
-    reach = int(math.floor(np.max(2.0 * window / spacing) + 1e-9)) + 1
-    pt_idx_out, key_out = [], []
-    rejected = spec.rejected
-    for oa in range(reach):
-        for ob in range(reach):
-            for oc in range(reach):
-                cand = base + np.array([oa, ob, oc])
-                ok = in_window(coords - cand * spacing, window)
-                if not ok.any():
-                    continue
-                cells = cand[ok]
-                ok2 = spec.extents.contains(cells)
-                if not ok2.any():
-                    continue
-                keys = _pack_idx(cells[ok2])
-                pt_ids = np.nonzero(ok)[0][ok2]
-                if rejected.size:
-                    good = ~np.isin(keys, rejected)
-                    keys, pt_ids = keys[good], pt_ids[good]
-                pt_idx_out.append(pt_ids)
-                key_out.append(keys)
-    if not pt_idx_out:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    return np.concatenate(pt_idx_out), np.concatenate(key_out)
+    row, cells = _window_cells(
+        pts @ spec.frame.matrix().T, coll.spacing, point_window(coll.half_widths, K_rich)
+    )
+    kept = _kept(spec, cells)
+    return row[kept], _pack_idx(cells[kept])
 
 
 def slice_counts(coll: PlankCollection, pts: np.ndarray, K_rich: float):

@@ -224,6 +224,13 @@ class TestExperimentCommand:
         cfg.write_text("[mystery]\nfoo = 1\n")
         assert run_cli("experiment", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
 
+    def test_degenerate_sweep_exit_2(self, tmp_path, capsys):
+        # one R gives the log-log fit no spread: a package error, so misuse
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[rectangle_bound]\nR = 64\n")
+        assert run_cli("experiment", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_missing_section_exit_2(self, tmp_path):
         cfg = tmp_path / "cfg.ini"
         cfg.write_text("[chernoff]\nn = 10\np = 0.1\ntrials = 10\n")

@@ -32,7 +32,7 @@ from tangencylab.geometry import (
     tangency_rect,
     wrap_angle,
 )
-from tangencylab.planks import _comparability_window
+from tangencylab.planks import _comparable_gaps
 
 SQRT2 = math.sqrt(2.0)
 
@@ -264,13 +264,15 @@ def _boundary_plank_pairs(draw):
         st.sampled_from([-math.pi, -math.pi + 1e-3, math.pi - 1e-3, math.pi - 1e-12]),
     ))
     if draw(st.booleans()):
-        # lattice dimensions at _comparability_window's last feasible gap,
-        # or the first infeasible one after it
+        # lattice dimensions at a gap on either side of a change of
+        # _comparable_gaps' feasibility (gap 0 and T are feasible)
         S = draw(st.integers(1, 300))
         A, B = 1.0, float(S)
         T = int(math.ceil(2.0 * math.pi * math.sqrt(S)))
         step = 2.0 * math.pi / T
-        m = _comparability_window(step, T, np.array([A, math.sqrt(A * B), B]) / 2.0, K)
+        gaps = _comparable_gaps(step, T, np.array([A, math.sqrt(A * B), B]) / 2.0, K)
+        edges = np.flatnonzero(np.diff(np.isin(np.arange(T + 1), np.r_[0, gaps, T]))).tolist()
+        m = draw(st.sampled_from(edges or [T - 1]))
         gap = draw(st.sampled_from([m + 1, m])) * step * draw(st.sampled_from([1, -1]))
     else:
         side = st.floats(1e-2, 1e2)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import clustered_unit_family, random_unit_family
 from tangencylab.errors import EmptyFamilyError, InvalidParamsError
@@ -20,6 +20,7 @@ from tangencylab.families import (
 from tangencylab.geometry import (
     Lightplank,
     containment_slack,
+    in_window,
     mutual_containment,
     plank_axes,
     plank_comparable,
@@ -39,6 +40,7 @@ from tangencylab.planks import (
     _pack_idx,
     _row_extents,
     _sat_intersects,
+    _window_cells,
     add_dyadic_counts,
     bilinear_rich,
     enumerate_incomparable,
@@ -68,6 +70,15 @@ class TestEnumeration:
 
     def test_pairwise_incomparable_exhaustive(self):
         coll = enumerate_incomparable(32, S=32, K=2.0)
+        assert verify_pairwise_incomparable(coll) == 0
+
+    @pytest.mark.parametrize("S, K", [(1.0, 1.625), (1.5, 2.0), (2.0, 2.375), (3.0, 3.5)])
+    def test_pairwise_incomparable_at_small_S(self, S, K):
+        # at S near K the frames half a turn apart swap a plank's long and
+        # short axes, so gaps near T / 2 hold comparable pairs while gap 1
+        # holds none
+        coll = enumerate_incomparable(8, S=S, K=K)
+        assert sum(s.rejected.size for s in coll.slices) > 0
         assert verify_pairwise_incomparable(coll) == 0
 
     def test_fast_predicate_matches_corner_predicate(self):
@@ -269,6 +280,122 @@ class TestRowExtents:
             tracemalloc.stop()
         assert ext.a_lo.size < 20_000
         assert peak < 32 * 2**20
+
+
+_SIGNS = np.array([[a, b, c] for a in (-1.0, 1.0) for b in (-1.0, 1.0) for c in (-1.0, 1.0)])
+_KEY_MASK = (1 << 21) - 1
+
+
+def _corner_contained(inner, outer, v, U, hw, K):
+    """Per pair t, whether plank inner[t] lies in the K-dilation of plank outer[t].
+
+    The corner rule of plank_contained_in_dilation, vectorised over pairs:
+    the 8 corners of the inner plank, in the outer plank's frame, lie within
+    K hw plus the corner oracle's slack.
+    """
+    corners = v[inner][:, None, :] + (_SIGNS * hw) @ U[inner]
+    coords = (corners - v[outer][:, None, :]) @ U[outer].transpose(0, 2, 1)
+    window = K * hw
+    return np.all(np.abs(coords) <= window + containment_slack(window), axis=(1, 2))
+
+
+def _lattice_planks(coll):
+    """Slice, center, frame matrix and kept flag of every lattice cell the greedy saw."""
+    sl, centers, kept = [], [], []
+    for j, spec in enumerate(coll.slices):
+        _, _, kept_centers = coll.slice_cells(j)
+        k = spec.rejected
+        idx = np.column_stack([(k >> 42) & _KEY_MASK, (k >> 21) & _KEY_MASK, k & _KEY_MASK])
+        rejected_centers = ((idx - (1 << 20)) * coll.spacing) @ spec.frame.matrix()
+        for c, flag in ((kept_centers, True), (rejected_centers, False)):
+            sl.append(np.full(len(c), j))
+            centers.append(c)
+            kept.append(np.full(len(c), flag))
+    sl = np.concatenate(sl)
+    mats = np.array([spec.frame.matrix() for spec in coll.slices])[sl]
+    return sl, np.vstack(centers), mats, np.concatenate(kept)
+
+
+class TestEnumerationFuzz:
+    """The greedy's collections against the corner containment rule, at random R, S, K and box."""
+
+    @given(
+        R=st.integers(4, 24), s_frac=st.floats(0.0, 1.0), K=st.floats(1.0, 3.5),
+        box_name=st.sampled_from(["cube", "annular", "offset"]), pick=st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_incomparable_and_maximal(self, R, s_frac, K, box_name, pick):
+        S = 1.0 + s_frac * (R - 1)
+        coll = enumerate_incomparable(R, S=S, K=K, box=BOXES[box_name](R))
+        assume(len(coll) <= 1500)
+        sl, v, U, kept = _lattice_planks(coll)
+        hw = coll.half_widths
+        # a plank inside a convex dilation has its center there too
+        reach = np.linalg.norm(K * hw + containment_slack(K * hw)) * (1 + 1e-6)
+        kept_ids = np.flatnonzero(kept)
+        near = np.linalg.norm(v[:, None, :] - v[kept_ids][None, :, :], axis=-1) <= reach
+        a, b = np.nonzero(near)
+        b = kept_ids[b]
+        a, b = a[a != b], b[a != b]
+        comparable = _corner_contained(a, b, v, U, hw, K) | _corner_contained(b, a, v, U, hw, K)
+        # (a) no two kept planks are comparable
+        assert not comparable[kept[a]].any()
+        # (b) every rejected cell is comparable to some kept plank
+        covered = np.zeros(len(v), dtype=bool)
+        covered[a[comparable]] = True
+        assert covered[~kept].all()
+        # the vectorised rule is plank_comparable's
+        for t in pick.sample(range(a.size), min(a.size, 12)):
+            P = coll.plank_at(int(sl[a[t]]), v[a[t]])
+            Q = coll.plank_at(int(sl[b[t]]), v[b[t]])
+            assert plank_comparable(P, Q, K) == comparable[t]
+
+
+class TestWindowCells:
+    """_window_cells against a scan of every cell around each point."""
+
+    @staticmethod
+    def _scan(coords, spacing, window):
+        reach = np.abs(window)
+        found = set()
+        for row, c in enumerate(coords):
+            lo = np.floor((c - reach) / spacing).astype(np.int64) - 1
+            hi = np.ceil((c + reach) / spacing).astype(np.int64) + 1
+            grid = np.meshgrid(*(np.arange(l, h + 1) for l, h in zip(lo, hi)), indexing="ij")
+            cells = np.column_stack([g.ravel() for g in grid])
+            for k in cells[in_window(c - cells * spacing, window)]:
+                found.add((row, *k.tolist()))
+        return found
+
+    @pytest.mark.parametrize(
+        "ratio", [0.1, np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0), 1.0, 1.7]
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_cell_scan(self, ratio, seed):
+        rng = np.random.default_rng(seed)
+        spacing = rng.uniform(0.3, 40.0, 3)
+        window = ratio * spacing * rng.choice([1.0, rng.uniform(0.2, 1.0)], 3)
+        axis = rng.integers(0, 3)
+        window[axis] = ratio * spacing[axis]
+        # points at a cell center or exactly a window away from it, per axis
+        k = rng.integers(-20, 21, (60, 3))
+        on_grid = k * spacing + rng.choice([-1.0, 0.0, 1.0], (60, 3)) * window
+        coords = np.vstack([rng.uniform(-30.0, 30.0, (120, 3)) * spacing, on_grid, k * spacing])
+        row, cells = _window_cells(coords, spacing, window)
+        got = list(zip(row.tolist(), *cells.T.tolist()))
+        assert len(set(got)) == len(got)
+        assert set(got) == self._scan(coords, spacing, window)
+        assert {(180 + t, *k[t].tolist()) for t in range(60)} <= set(got)
+
+    def test_negative_axis_admits_nothing(self):
+        rng = np.random.default_rng(3)
+        spacing = np.array([2.0, 5.0, 11.0])
+        window = np.array([1.5, -0.5, 7.0])
+        coords = rng.uniform(-20.0, 20.0, (200, 3)) * spacing
+        coords[:50] = rng.integers(-5, 6, (50, 3)) * spacing  # on cell centers
+        row, cells = _window_cells(coords, spacing, window)
+        assert row.size == 0 and cells.shape == (0, 3)
+        assert self._scan(coords, spacing, window) == set()
 
 
 def _slice_members(coll, fam, K_rich):
