@@ -43,6 +43,13 @@ def pack_grid_keys(idx: np.ndarray, param: str) -> np.ndarray:
     return (idx[:, 0] << (2 * _KEY_BITS)) + (idx[:, 1] << _KEY_BITS) + idx[:, 2]
 
 
+def unpack_grid_keys(keys: np.ndarray) -> np.ndarray:
+    """The cell indices (n, 3), int64, that pack_grid_keys packed into keys."""
+    return np.column_stack(
+        [keys >> (2 * _KEY_BITS), (keys >> _KEY_BITS) & _KEY_MASK, keys & _KEY_MASK]
+    )
+
+
 def _outside_box(pts: np.ndarray, box: Box) -> np.ndarray:
     """Mask (n, 3): coordinate outside its box interval by more than rounding.
 

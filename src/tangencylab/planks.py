@@ -22,17 +22,30 @@ per-angle row extents plus the sparse rejection set instead of materialized
 boxes; slices are regenerated on demand by the same deterministic code
 path.
 
-The greedy and the richness count ask a center grid one question: which
-cells have their center within a per-axis window of a point, and which of
-those are kept planks of the slice. `_window_cells` lists the cells,
-scanning the offsets -r..r around the nearest cell, r = floor(max(w / s) +
-1/2), which is exact: no cell farther than that lies in the window. `_kept`
-keeps the cells inside the slice's row extents and not rejected. The
-greedy asks it of plank centers with the containment window, which is
-below half a spacing, so r = 0; the richness count asks it of family points
-with geometry.point_window. Membership is point_window everywhere: the
-direct scan and the grid snap apply the same window to the same offsets,
-so they agree on points that lie on a plank's faces.
+The greedy compares slices through comparability patterns. plank_axes(t)
+is one base frame turned by t about the vertical axis, so the frame change
+from slice j to slice j - g is the same for every j up to rounding, and
+whether cell v of slice j and cell u of slice j - g are comparable depends
+on (v, u, g) alone. `_comparability_patterns` lists, once per feasible gap,
+the index pairs within the containment window widened by a margin that
+provably covers the per-slice rounding (`_pattern_margin`), in both
+directions, scanning in blocks the union of the row extents of the slices
+that the gap pairs. Each slice then runs the exact in_window test only on
+the pattern pairs in its own rows whose other end is a kept plank of slice
+j - g. No slice lists its cells; its candidate count is the sum of its row
+lengths.
+
+The pattern scan and the richness count ask a center grid one question:
+which cells have their center within a per-axis window of a point.
+`_window_cells` lists the cells, scanning the offsets -r..r around the
+nearest cell, r = floor(max(w / s) + 1/2), which is exact: no cell farther
+than that lies in the window. `_kept` keeps the cells inside the slice's
+row extents and not rejected. The pattern scan asks it of plank centers
+with the widened containment window, which is below half a spacing, so
+r = 0; the richness count asks it of family points with
+geometry.point_window. Membership is point_window everywhere: the direct
+scan and the grid snap apply the same window to the same offsets, so they
+agree on points that lie on a plank's faces.
 """
 
 from __future__ import annotations
@@ -45,13 +58,14 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import EmptyFamilyError, InvalidParamsError
-from .families import Box, CircleFamily, cube_box, pack_grid_keys
+from .families import Box, CircleFamily, cube_box, pack_grid_keys, unpack_grid_keys
 from .geometry import (
     Circle3,
     Lightplank,
     PlankFrame,
     comparability_graph,
     containment_window,
+    frame_coords,
     in_window,
     plank_axes,
     point_window,
@@ -68,6 +82,10 @@ _IDX_OFFSET = 1 << 20
 
 def _pack_idx(idx: np.ndarray) -> np.ndarray:
     return pack_grid_keys(idx + _IDX_OFFSET, "box")
+
+
+def _unpack_idx(keys: np.ndarray) -> np.ndarray:
+    return unpack_grid_keys(keys) - _IDX_OFFSET
 
 
 def _box_arrays(box: Box) -> tuple[np.ndarray, np.ndarray]:
@@ -87,6 +105,10 @@ class _RowExtents:
     origin: np.ndarray  # (b, c) index of row (0, 0)
     a_lo: np.ndarray  # (rows along b, rows along c), int64
     a_hi: np.ndarray
+
+    @property
+    def n_cells(self) -> int:
+        return int(np.maximum(self.a_hi - self.a_lo + 1, 0).sum())
 
     def contains(self, idx: np.ndarray) -> np.ndarray:
         """Mask of the grid indices (n, 3) that are box-meeting cells."""
@@ -340,9 +362,18 @@ def enumerate_incomparable(
     kept plank are rejected, so the collection is pairwise K-incomparable,
     and every lattice candidate is comparable to some member. At S = R the
     cardinality lands within a small constant factor of R^2.
+
+    Slice j's candidates are tested against the kept planks of slice j - g
+    at each feasible angle gap g, through that gap's comparability pattern:
+    the index pairs `_comparability_patterns` found once for all slices.
     """
     if S is None:
         S = float(R)
+    for name, value in (("R", R), ("S", S), ("K", K), ("A", A)):
+        if not math.isfinite(value):
+            raise InvalidParamsError(f"{name}: must be finite")
+    if A <= 0:
+        raise InvalidParamsError("A: need A > 0")
     if S > R * (1 + 1e-12) or S < 1:
         raise InvalidParamsError("S: need 1 <= S <= R")
     if K < 1:
@@ -357,28 +388,22 @@ def enumerate_incomparable(
     thetas = [wrap_angle(-math.pi + step * j) for j in range(T)]
     frames = [plank_axes(t) for t in thetas]
     gaps = _comparable_gaps(step, T, hw, K)
-    # slice j2 is looked back at by the slices j2 + g, g in gaps, up to T - 1
-    last_use = [j2 + int(gaps[gaps < T - j2].max(initial=0)) for j2 in range(T)]
+    extents = [_row_extents(f, spacing, hw, box) for f in frames]
+    patterns = _comparability_patterns(extents, step, gaps, spacing, hw, K)
 
-    cache: dict[int, np.ndarray] = {}  # kept centers of the slices still looked back at
-    specs: list[_SliceSpec] = []
     for j in range(T):
-        extents = _row_extents(frames[j], spacing, hw, box)
-        keys, _, centers = _grid_sat_cells(extents, frames[j], spacing)
-        hits = np.zeros(keys.size, dtype=bool)
-        if keys.size:
-            for j2 in (j - gaps[gaps <= j]).tolist():
-                hits |= _comparable_hits(keys, centers, frames[j], specs[j2], cache[j2], spacing, hw, K)
-        specs.append(
+        rows = _row_keys(*_extent_rows(extents[j]))
+        hits = [np.empty((0, 3), dtype=np.int64)]
+        for g in gaps[gaps <= j].tolist():
+            window = containment_window(thetas[j] - thetas[j - g], hw, K)
+            for pattern in patterns[g]:
+                hits.append(pattern.hits(rows, frames[j], coll.slices[j - g], spacing, window))
+        coll.slices.append(
             _SliceSpec(
-                theta=thetas[j], frame=frames[j], n_sat=int(keys.size), rejected=keys[hits],
-                extents=extents,
+                theta=thetas[j], frame=frames[j], n_sat=extents[j].n_cells,
+                rejected=np.unique(_pack_idx(np.concatenate(hits))), extents=extents[j],
             )
         )
-        cache[j] = centers[~hits]
-        for j2 in [jj for jj in cache if last_use[jj] <= j]:
-            del cache[j2]
-    coll.slices = specs
     return coll
 
 
@@ -422,39 +447,178 @@ def _kept(spec: _SliceSpec, idx: np.ndarray) -> np.ndarray:
     """Mask of the grid indices (n, 3) that are kept planks of the slice."""
     kept = spec.extents.contains(idx)
     if spec.rejected.size and kept.any():
-        kept[kept] = ~np.isin(_pack_idx(idx[kept]), spec.rejected)
+        keys = _pack_idx(idx[kept])
+        pos = np.minimum(np.searchsorted(spec.rejected, keys), spec.rejected.size - 1)
+        kept[kept] = spec.rejected[pos] != keys
     return kept
 
 
-def _comparable_hits(
-    v_keys: np.ndarray,
-    v_centers: np.ndarray,
-    v_frame: PlankFrame,
-    u_spec: _SliceSpec,
-    u_kept_centers: np.ndarray,
-    spacing: np.ndarray,
-    hw: np.ndarray,
-    K: float,
-) -> np.ndarray:
-    """Candidates of the v-slice comparable to a kept plank of the (final) u-slice.
+# Domain cells are scanned for the comparability patterns this many at a time.
+_PATTERN_BLOCK = 1 << 15
 
-    A plank lies in the K-dilation of a lattice plank exactly when its
-    center, in the outer plank's frame, is within the containment window of
-    the outer center. The window is even in the angle gap, so one serves
-    both directions, and each direction is one _window_cells pass: v centers
-    on the u grid, whose cells must be kept (the u slice is final), and
-    u_kept_centers on the v grid, whose cells are found by packed key in the
-    sorted v_keys.
+
+def _extent_rows(ext: _RowExtents) -> tuple[np.ndarray, ...]:
+    """(b, c, a_lo, a_hi) of the nonempty rows of a slice, in row-major order."""
+    i, k = np.nonzero(ext.a_lo <= ext.a_hi)
+    return ext.origin[0] + i, ext.origin[1] + k, ext.a_lo[i, k], ext.a_hi[i, k]
+
+
+def _domain_rows(extents: list[_RowExtents]) -> tuple[np.ndarray, ...]:
+    """The union of the slices' row extents as (b, c, a_lo, a_hi) intervals.
+
+    Intervals of one row that overlap or abut are merged, so every cell of
+    the union lies in exactly one interval; intervals come in row-major
+    (b, c, a) order.
     """
-    window = containment_window(v_frame.theta - u_spec.frame.theta, hw, K)
-    hits = np.zeros(v_keys.size, dtype=bool)
-    row, cells = _window_cells(v_centers @ u_spec.frame.matrix().T, spacing, window)
-    hits[row[_kept(u_spec, cells)]] = True
-    _, cells = _window_cells(u_kept_centers @ v_frame.matrix().T, spacing, window)
-    target = _pack_idx(cells)
-    pos = np.minimum(np.searchsorted(v_keys, target), v_keys.size - 1)
-    hits[pos[v_keys[pos] == target]] = True
-    return hits
+    b, c, lo, hi = (np.concatenate(part) for part in zip(*map(_extent_rows, extents)))
+    order = np.lexsort((lo, c, b))
+    b, c, lo, hi = b[order], c[order], lo[order], hi[order]
+    new_row = np.ones(b.size, dtype=bool)
+    new_row[1:] = (b[1:] != b[:-1]) | (c[1:] != c[:-1])
+    # running max of a_hi within each row: lifting row r by r * 2^22 keeps
+    # each row above every earlier one (indices lie in [-2^20, 2^20))
+    lift = np.cumsum(new_row) << 22
+    reach = np.maximum.accumulate(hi + lift) - lift
+    start = new_row.copy()
+    start[1:] |= lo[1:] > reach[:-1] + 1
+    first = np.flatnonzero(start)
+    return b[first], c[first], lo[first], np.maximum.reduceat(hi, first)
+
+
+def _domain_blocks(rows: tuple[np.ndarray, ...]):
+    """The cells (n, 3) of the intervals `rows`, at most _PATTERN_BLOCK at a time.
+
+    Block k holds the cells at positions [k B, (k + 1) B) of the intervals
+    laid end to end: the intervals overlapping that range, clipped to it.
+    """
+    b, c, lo, hi = rows
+    ends = np.cumsum(hi - lo + 1)
+    starts = ends - (hi - lo + 1)
+    for first in range(0, int(ends[-1]) if ends.size else 0, _PATTERN_BLOCK):
+        last = first + _PATTERN_BLOCK
+        iv = np.arange(np.searchsorted(ends, first, side="right"), np.searchsorted(starts, last))
+        seg_lo = lo[iv] + np.maximum(first - starts[iv], 0)
+        seg_hi = hi[iv] - np.maximum(ends[iv] - last, 0)
+        iv, a = _segment_cells(iv, seg_lo, seg_hi)
+        yield np.column_stack([a, b[iv], c[iv]])
+
+
+def _row_keys(b, c, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major (b, c, a) keys of the first and last cell of each interval."""
+    return _pack_idx(np.column_stack([b, c, lo])), _pack_idx(np.column_stack([b, c, hi]))
+
+
+@dataclass
+class _Pattern:
+    """Candidate (v cell, u cell) pairs of one direction at one angle gap, sorted by v cell.
+
+    v is a cell of the later slice j, u of the earlier slice j - g. Forward
+    pairs ask whether the v plank lies in the K-dilation of the u plank,
+    reverse pairs the converse. v_keys are row-major keys, _pack_idx of
+    (b, c, a), so the pairs whose v cell lies in one a-interval of a row are
+    one run of the array.
+    """
+
+    forward: bool
+    v_keys: np.ndarray
+    u_keys: np.ndarray
+
+    def hits(self, rows, v_frame: PlankFrame, u_spec: _SliceSpec, spacing, window) -> np.ndarray:
+        """The v cells (n, 3) in the row intervals `rows` comparable to a kept u plank."""
+        first = np.searchsorted(self.v_keys, rows[0], side="left")
+        last = np.searchsorted(self.v_keys, rows[1], side="right")
+        _, pos = _segment_cells(np.arange(first.size), first, last - 1)
+        u = _unpack_idx(self.u_keys[pos])
+        kept = _kept(u_spec, u)
+        v, u = _unpack_idx(self.v_keys[pos[kept]])[:, [2, 0, 1]], u[kept]
+        # the exact test: the inner plank lies in the K-dilation of the outer
+        # one exactly when its center, in the outer frame, is in_window
+        if self.forward:
+            inner, outer, frames = v, u, (v_frame, u_spec.frame)
+        else:
+            inner, outer, frames = u, v, (u_spec.frame, v_frame)
+        coords = _slice_pair_coords(inner, *frames, spacing)
+        return v[in_window(coords - outer * spacing, window)]
+
+
+def _pattern_frame(angle: float) -> np.ndarray:
+    """U(0) U(angle)^T: the frame change from a slice to the slice `angle` below it.
+
+    plank_axes(t) is plank_axes(0) turned by t about the vertical axis, so
+    U(t - angle) U(t)^T equals this for every t.
+    """
+    return plank_axes(0.0).matrix() @ plank_axes(angle).matrix().T
+
+
+def _pattern_margin(extents: list[_RowExtents], spacing, hw, K: float) -> float:
+    """The window widening m that covers per-slice rounding, 1e-9 (1 + reach).
+
+    reach = max |idx * spacing|_1 over the slices' cells + (K + 1) |hw|_1.
+    Let u = 2^-53. A slice pair at gap g takes its angle difference from
+    thetas that each carry under 8 pi u of rounding (wrap_angle of -pi +
+    step j), and the pattern takes g * step, rounded once: they differ by
+    under 60 u, and by under 70 u once the difference itself is rounded.
+    The rotation U0 Rz(t) U0^T moves a vector x by at most |dt| |x|. The
+    float frames are within 4 u of the exact ones per entry, their product
+    within 14 u, and each 3-term product rounds by at most 3 u |x|_1
+    (gamma_3). So the slice's two frame products put x within 115 u |x|_1
+    of the pattern's single product. containment_window is Lipschitz 1 in
+    the gap per entry of M(g), so the two windows differ by under 90 u
+    |hw|_1, plus 8 u (K + 1) |hw|_1 of their own rounding; the comparisons
+    add 2 u of what they compare. The sum is under 250 u reach < 3e-14
+    reach, which m exceeds by more than 10^4: every pair the slice's exact
+    test accepts is in the pattern.
+    """
+    reach = 0.0
+    for ext in extents:
+        b, c, lo, hi = _extent_rows(ext)
+        coords = np.maximum(np.abs(lo), np.abs(hi)) * spacing[0] + np.abs(b) * spacing[1]
+        reach = max(reach, float((coords + np.abs(c) * spacing[2]).max(initial=0.0)))
+    return 1e-9 * (1.0 + reach + (K + 1.0) * float(np.sum(hw)))
+
+
+def _comparability_patterns(extents, step: float, gaps, spacing, hw, K: float) -> dict:
+    """Per feasible gap g, the (forward, reverse) _Patterns shared by every slice pair.
+
+    The frame change from slice j to slice j - g is `_pattern_frame(g step)`
+    up to rounding, whatever j is, so which cells can be comparable depends
+    on the index pair and g alone. Forward pairs are a v cell whose center,
+    in the u frame, is within the containment window plus `_pattern_margin`
+    of a u cell's; the v cells scanned are the union of the row extents of
+    the slices g..T-1, the v slices at this gap. Reverse pairs are a u cell
+    within it of a v cell, in the v frame, scanning the u slices 0..T-1-g.
+    Each is one _window_cells pass per block of scanned cells.
+    """
+    margin = _pattern_margin(extents, spacing, hw, K)
+    T = len(extents)
+    patterns = {}
+    for g in gaps:
+        frame = _pattern_frame(g * step)
+        window = containment_window(g * step, hw, K) + margin
+        pair = []
+        directions = ((True, frame, extents[g:]), (False, frame.T, extents[: T - g]))
+        for forward, to_far, domain in directions:
+            v_keys, u_keys = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+            for cells in _domain_blocks(_domain_rows(domain)):
+                row, far = _window_cells((cells * spacing) @ to_far.T, spacing, window)
+                v, u = (cells[row], far) if forward else (far, cells[row])
+                v_keys.append(_pack_idx(v[:, [1, 2, 0]]))
+                u_keys.append(_pack_idx(u))
+            v_keys, u_keys = np.concatenate(v_keys), np.concatenate(u_keys)
+            order = np.argsort(v_keys, kind="stable")
+            pair.append(_Pattern(forward=forward, v_keys=v_keys[order], u_keys=u_keys[order]))
+        patterns[g] = tuple(pair)
+    return patterns
+
+
+def _slice_pair_coords(inner, inner_frame: PlankFrame, outer_frame: PlankFrame, spacing):
+    """Centers of the inner slice's cells (n, 3), in the outer slice's frame.
+
+    Both products are frame_coords sums, so a cell gets the same bits in
+    any batch.
+    """
+    centers = frame_coords(inner_frame.matrix().T, inner * spacing)
+    return frame_coords(outer_frame.matrix(), centers)
 
 
 def verify_pairwise_incomparable(coll: PlankCollection) -> int:

@@ -170,6 +170,14 @@ class TestExperimentCommand:
         cfg.write_text("[rectangle_bound]\nR = 64,128\nslope_gate = -10\n")
         assert run_cli("experiment", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
 
+    @pytest.mark.parametrize("K", ["nan", "inf"])
+    def test_non_finite_plank_K_is_misuse(self, tmp_path, capsys, K):
+        # exit 1 is reserved for a failed gate; a bad K is refused as input
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(f"[rectangle_bound]\nR = 64\nK = {K}\n")
+        assert run_cli("experiment", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+        assert "K: must be finite" in capsys.readouterr().err
+
     def test_unjudgeable_sharpness_gate_is_not_a_regression(self, tmp_path):
         # at single-tile scale the plank windows hold no integer count: the
         # rows are flagged and only the occupancy gate decides the exit code

@@ -20,6 +20,7 @@ from tangencylab.families import (
 from tangencylab.geometry import (
     Lightplank,
     containment_slack,
+    containment_window,
     in_window,
     mutual_containment,
     plank_axes,
@@ -31,15 +32,22 @@ from tangencylab.geometry import (
     wrap_angle,
 )
 from tangencylab.incidence import count_ct_delta_bruteforce, lift_rect
+from tangencylab import planks as planks_module
 from tangencylab.planks import (
     PlankCollection,
     _assign_points,
+    _comparable_gaps,
+    _domain_rows,
     _dyadic_floor,
     _grid_bounds,
     _grid_sat_cells,
     _pack_idx,
+    _pattern_frame,
+    _pattern_margin,
     _row_extents,
     _sat_intersects,
+    _slice_pair_coords,
+    _SliceSpec,
     _window_cells,
     add_dyadic_counts,
     bilinear_rich,
@@ -98,6 +106,36 @@ class TestEnumeration:
             enumerate_incomparable(16, S=16, K=0.5)
         with pytest.raises(InvalidParamsError, match="S"):
             enumerate_incomparable(16, S=0.5)
+
+    @pytest.mark.parametrize(
+        "name, kwargs",
+        [
+            ("R", {"R": math.nan}),
+            ("R", {"R": math.inf, "S": 16.0}),
+            ("S", {"R": 16.0, "S": math.nan}),
+            ("K", {"R": 16.0, "K": math.nan}),
+            ("K", {"R": 16.0, "K": math.inf}),
+            ("A", {"R": 16.0, "A": math.nan}),
+            ("A", {"R": 16.0, "A": 0.0}),
+            ("A", {"R": 16.0, "A": -1.0}),
+        ],
+    )
+    def test_non_finite_or_non_positive_params(self, name, kwargs):
+        # refused where they enter, before any grid is sized from them
+        with pytest.raises(InvalidParamsError, match=f"^{name}:"):
+            enumerate_incomparable(**kwargs)
+
+    def test_no_slice_lists_its_cells(self, monkeypatch):
+        # the greedy reads each slice through its row extents and the
+        # comparability patterns; only slice_cells lists cells
+        def refuse(*args):
+            raise AssertionError("_grid_sat_cells called during enumeration")
+
+        monkeypatch.setattr(planks_module, "_grid_sat_cells", refuse)
+        coll = enumerate_incomparable(64, S=64, K=2.0)
+        monkeypatch.undo()
+        assert sum(s.rejected.size for s in coll.slices) > 0
+        assert len(coll) == sum(coll.slice_cells(j)[0].size for j in range(len(coll.slices)))
 
     def test_box_intersection_filter_sound(self):
         # the separating-axis filter may never reject a plank that has a
@@ -349,6 +387,119 @@ class TestEnumerationFuzz:
             P = coll.plank_at(int(sl[a[t]]), v[a[t]])
             Q = coll.plank_at(int(sl[b[t]]), v[b[t]])
             assert plank_comparable(P, Q, K) == comparable[t]
+
+
+def _scan_enumeration(R, S, K, box):
+    """The per-slice scan the comparability patterns replaced, as (n_sat, rejected) per slice.
+
+    Every box-meeting cell of every slice is tested against the kept planks
+    of each earlier slice at a feasible gap, in both directions, through
+    _window_cells: its center on the earlier slice's grid, and the earlier
+    slice's kept centers on its own grid.
+    """
+    spacing = K * np.array([1.0, math.sqrt(S), S])
+    hw = spacing / (2.0 * K)
+    T = int(math.ceil(2.0 * math.pi * math.sqrt(S)))
+    step = 2.0 * math.pi / T
+    gaps = _comparable_gaps(step, T, hw, K)
+    specs, kept = [], []
+    for j in range(T):
+        frame = plank_axes(wrap_angle(-math.pi + step * j))
+        ext = _row_extents(frame, spacing, hw, box)
+        keys, _, centers = _grid_sat_cells(ext, frame, spacing)
+        hits = np.zeros(keys.size, dtype=bool)
+        for j2 in (j - gaps[gaps <= j]).tolist():
+            u = specs[j2]
+            window = containment_window(frame.theta - u.frame.theta, hw, K)
+            row, cells = _window_cells(centers @ u.frame.matrix().T, spacing, window)
+            kept_u = u.extents.contains(cells) & ~np.isin(_pack_idx(cells), u.rejected)
+            hits[row[kept_u]] = True
+            _, cells = _window_cells(kept[j2] @ frame.matrix().T, spacing, window)
+            hits |= np.isin(keys, _pack_idx(cells))
+        specs.append(_SliceSpec(frame.theta, frame, int(keys.size), keys[hits], ext))
+        kept.append(centers[~hits])
+    return [(s.n_sat, s.rejected) for s in specs]
+
+
+class TestPatternEnumeration:
+    """The comparability-pattern greedy against the per-slice scan it replaced."""
+
+    @staticmethod
+    def _assert_matches_scan(R, S, K, box):
+        coll = enumerate_incomparable(R, S=S, K=K, box=box)
+        want = _scan_enumeration(R, S, K, box)
+        assert len(coll.slices) == len(want)
+        for spec, (n_sat, rejected) in zip(coll.slices, want):
+            assert spec.n_sat == n_sat
+            assert spec.rejected.dtype == rejected.dtype
+            np.testing.assert_array_equal(spec.rejected, rejected)
+        return sum(r.size for _, r in want)
+
+    @pytest.mark.parametrize("box_name", ["cube", "annular"])
+    @pytest.mark.parametrize("S_of_R", ["R", "R/4", "4", "2"])
+    @pytest.mark.parametrize("K", [1.5, 2.0, 3.0, 3.5])
+    def test_matches_per_slice_scan(self, K, S_of_R, box_name):
+        # small S lists many more cells per unit of R, so it runs at R = 64
+        R = 256 if "R" in S_of_R else 64
+        S = {"R": R, "R/4": R / 4}.get(S_of_R) or float(S_of_R)
+        self._assert_matches_scan(R, S, K, BOXES[box_name](R))
+
+    @pytest.mark.parametrize("box_name", ["cube", "annular"])
+    def test_only_gaps_near_half_turn(self, box_name):
+        # at S = K = 1.5 gap 1 is infeasible and only gap T / 2 = 4 holds
+        # comparable pairs, which the frame turned by pi makes
+        S, K = 1.5, 1.5
+        T = int(math.ceil(2.0 * math.pi * math.sqrt(S)))
+        hw = np.array([1.0, math.sqrt(S), S]) / 2.0
+        assert _comparable_gaps(2.0 * math.pi / T, T, hw, K).tolist() == [T // 2]
+        assert self._assert_matches_scan(24, S, K, BOXES[box_name](24)) > 0
+
+    def test_domain_blocks_cover_the_union_once(self, monkeypatch):
+        # small blocks make intervals straddle block boundaries
+        monkeypatch.setattr(planks_module, "_PATTERN_BLOCK", 1000)
+        coll = enumerate_incomparable(64, S=4, K=2.0)
+        extents = [s.extents for s in coll.slices]
+        blocks = list(planks_module._domain_blocks(_domain_rows(extents)))
+        assert len(blocks) > 10 and max(len(b) for b in blocks) <= 1000
+        cells = np.vstack(blocks)
+        keys = _pack_idx(cells[:, [1, 2, 0]])
+        assert np.all(np.diff(keys) > 0)  # row-major order, each cell once
+        union = np.unique(np.concatenate(
+            [_grid_sat_cells(s.extents, s.frame, coll.spacing)[0] for s in coll.slices]
+        ))
+        np.testing.assert_array_equal(np.sort(_pack_idx(cells)), union)
+
+    def test_margin_covers_per_slice_rounding(self):
+        # at R = 2^12, on the extreme cells of the domain (both ends of every
+        # merged row interval) and for every slice pair at a feasible gap,
+        # the per-slice frame coordinates and windows stay within m / 1000
+        # of the pattern's, in both directions
+        R = 4096
+        coll = enumerate_incomparable(R, S=R, K=2.0)
+        spacing, hw, K = coll.spacing, coll.half_widths, coll.K
+        T = len(coll.slices)
+        step = 2.0 * math.pi / T
+        extents = [s.extents for s in coll.slices]
+        m = _pattern_margin(extents, spacing, hw, K)
+        b, c, lo, hi = _domain_rows(extents)
+        cells = np.vstack([np.column_stack([lo, b, c]), np.column_stack([hi, b, c])])
+        x = cells * spacing
+        frames = [s.frame for s in coll.slices]
+        gaps = _comparable_gaps(step, T, hw, K)
+        assert gaps.size and cells.shape[0] > 100
+        worst = 0.0
+        for g in gaps.tolist():
+            F = _pattern_frame(g * step)
+            window = containment_window(g * step, hw, K)
+            for j in range(g, T):
+                fwd = _slice_pair_coords(cells, frames[j], frames[j - g], spacing)
+                rev = _slice_pair_coords(cells, frames[j - g], frames[j], spacing)
+                own = containment_window(frames[j].theta - frames[j - g].theta, hw, K)
+                worst = max(
+                    worst, np.abs(fwd - x @ F.T).max(), np.abs(rev - x @ F).max(),
+                    np.abs(own - window).max(),
+                )
+        assert worst < m / 1000
 
 
 class TestWindowCells:
