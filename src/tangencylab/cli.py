@@ -166,7 +166,15 @@ def cmd_planks(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _parse_values(raw: str) -> list[float]:
+def _parse_values(sec: configparser.SectionProxy, key: str, default: str | None = None) -> list:
+    """The list under `key`: numbers and inclusive lo:hi integer ranges.
+
+    A list that is missing (and has no default) or empty runs nothing, so it
+    raises InvalidParamsError naming the key.
+    """
+    raw = sec.get(key, default)
+    if raw is None:
+        raise InvalidParamsError(f"{key}: required list is missing")
     vals = []
     for tok in raw.replace(",", " ").split():
         if ":" in tok:
@@ -174,6 +182,8 @@ def _parse_values(raw: str) -> list[float]:
             vals.extend(range(int(lo), int(hi) + 1))
         else:
             vals.append(float(tok) if ("." in tok or "e" in tok or "E" in tok) else int(tok))
+    if not vals:
+        raise InvalidParamsError(f"{key}: list is empty")
     return vals
 
 
@@ -181,7 +191,7 @@ def _run_section(name: str, sec: configparser.SectionProxy, workers: int) -> ex.
     kind = sec.get("experiment", name.split(".")[0])
     if kind == "rectangle_bound":
         return ex.run_rectangle_bound(
-            [int(v) for v in _parse_values(sec.get("R"))],
+            [int(v) for v in _parse_values(sec, "R")],
             rho_law=sec.get("rho_law", "sqrt"),
             K=sec.getfloat("K", 2.0),
             slope_gate=sec.getfloat("slope_gate", 0.35),
@@ -191,17 +201,17 @@ def _run_section(name: str, sec: configparser.SectionProxy, workers: int) -> ex.
         )
     if kind == "ct_bound":
         return ex.run_ct_bound(
-            [float(v) for v in _parse_values(sec.get("delta"))],
+            [float(v) for v in _parse_values(sec, "delta")],
             rho=sec.getfloat("rho", 4.0),
             workers=workers,
         )
     if kind == "exact_ct":
-        return ex.run_exact_ct([int(v) for v in _parse_values(sec.get("n"))])
+        return ex.run_exact_ct([int(v) for v in _parse_values(sec, "n")])
     if kind == "lemma28":
         fam = load_family(sec.get("family"))
         return ex.run_lemma28_check(fam, sec.getfloat("delta"), A=sec.getfloat("A", 2.0))
     if kind == "sharpness":
-        seeds = [int(v) for v in _parse_values(sec.get("seeds", "0:19"))]
+        seeds = [int(v) for v in _parse_values(sec, "seeds", "0:19")]
         if os.environ.get("TANGENCY_SEED"):
             # as many consecutive seeds as the config lists, from the override
             seeds = [_env_seed(0) + k for k in range(len(seeds))]
@@ -210,8 +220,8 @@ def _run_section(name: str, sec: configparser.SectionProxy, workers: int) -> ex.
             seeds=seeds, K=sec.getfloat("K", 2.0),
         )
     if kind == "chernoff":
-        ns = [int(v) for v in _parse_values(sec.get("n"))]
-        ps = [float(v) for v in _parse_values(sec.get("p"))]
+        ns = [int(v) for v in _parse_values(sec, "n")]
+        ps = [float(v) for v in _parse_values(sec, "p")]
         trials = sec.getint("trials", 10**6)
         seed = _env_seed(sec.getint("seed", 0))
         merged = ex.ExperimentReport(experiment="chernoff")

@@ -20,7 +20,7 @@ import mpmath
 import numpy as np
 from scipy import stats
 
-from .errors import DegenerateSweepError, ValidationError
+from .errors import DegenerateSweepError, InvalidParamsError, ValidationError
 from .families import (
     WELLSPACED_GRID_FACTOR,
     CircleFamily,
@@ -31,18 +31,18 @@ from .families import (
     gen_integer_lattice,
     gen_maximal_separated,
     gen_random_wellspaced,
+    pack_grid_keys,
     wellspaced_candidates,
 )
 from .geometry import Circle3, comparability_graph, frame_coords, in_window, point_window
 from .incidence import bin_dyadic, count_ct0_exact, count_ct_delta_hashed
 from .planks import (
-    PlankCollection,
     add_dyadic_counts,
     enumerate_incomparable,
     mu_buckets,
     pair_plank,
     richness,
-    slice_counts,
+    slice_incidences,
 )
 
 # runtime_ms stays in the schema but is left empty: wall-clock time would
@@ -88,11 +88,7 @@ class ExperimentReport:
 
 
 def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.integer, np.floating, np.ndarray)):
         return obj.tolist()
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
@@ -547,15 +543,23 @@ def run_sharpness(
     0.22. A seed passes when every judged gate holds, and
     gates_pass needs 90% of the seeds. The summary also reports the dyadic
     bucket concentration of the rich planks.
+
+    Y is assigned to planks once, and each draw, a subset of Y, is counted
+    from those incidences (_drawn_counts).
     """
+    seeds = list(seeds)
+    if not seeds:
+        raise InvalidParamsError("seeds: need at least one seed")
     report = ExperimentReport(experiment="sharpness")
     coll = enumerate_incomparable(R, S=R, K=K)
     n_planks = len(coll)
     p = R**eps * rho**-3.0
     m_asym = WELLSPACED_GRID_FACTOR**-3.0 * R**1.5 * p
     cand, single_tile = wellspaced_candidates(R, rho)
-    judged, judged_bound = _judged_planks(list(slice_counts(coll, cand.astype(float), 1.0)), p)
-    judged_m = np.concatenate([m for _, m in judged])
+    incidences = list(slice_incidences(coll, cand.astype(float), 1.0))
+    cand_m = p * np.concatenate([counts for counts, _ in incidences]).astype(float)
+    judged, judged_bound = _judged_planks(cand_m)
+    judged_m = cand_m[judged]
     stated_judged = math.ceil(m_asym / 10.0) <= math.floor(10.0 * m_asym)
     exact_judged = judged_m.size > 0
     results = []
@@ -563,7 +567,8 @@ def run_sharpness(
         fam = gen_random_wellspaced(R, rho, eps, seed)
         occ = cube_occupancy(fam, rho)
         occupancy_ok = occ.max_count <= 10.0 * R**eps
-        stats_seed = _sharpness_plank_stats(coll, fam, judged)
+        counts = _drawn_counts(cand, incidences, fam.points)
+        stats_seed = _sharpness_plank_stats(n_planks, counts, judged, judged_m)
         plank_ok_stated = (
             stats_seed["min_count"] >= m_asym / 10.0 and stats_seed["max_count"] <= 10.0 * m_asym
         ) if stated_judged else None
@@ -616,63 +621,60 @@ def run_sharpness(
     return report
 
 
-def _judged_planks(cand_counts: list, p: float) -> tuple[list, float]:
+def _judged_planks(m: np.ndarray) -> tuple[np.ndarray, float]:
     """The planks on which the exact-mean window is judged, chosen before any draw.
 
-    Planks holding candidates are taken in decreasing order of
-    m_P = p |Y intersect P| (ties by slice, then key) for as long as the
-    summed tail bound e^(-5 m_P) + e^(-m_P/2) stays within
-    JUDGED_TAIL_BUDGET. The bound falls as m_P grows, so this prefix is the
-    largest set the budget admits. Returns per-slice (sorted keys, m_P)
-    arrays and the summed bound of the chosen set.
+    m holds m_P = p |Y intersect P| of the planks holding candidates in
+    (slice, key) order. They are taken by decreasing m_P, ties in m's order,
+    while the summed tail bound e^(-5 m_P) + e^(-m_P/2) stays within
+    JUDGED_TAIL_BUDGET; the bound falls as m_P grows, so this prefix is the
+    largest set the budget admits. Returns the indices taken and their bound.
     """
-    slice_of = np.concatenate([np.full(keys.size, j) for j, (keys, _) in enumerate(cand_counts)])
-    keys = np.concatenate([keys for keys, _ in cand_counts])
-    m = p * np.concatenate([counts for _, counts in cand_counts]).astype(float)
-    order = np.lexsort((keys, slice_of, -m))
+    order = np.argsort(-m, kind="stable")
     bound = np.cumsum(np.exp(-5.0 * m[order]) + np.exp(-m[order] / 2.0))
     n = int(np.searchsorted(bound, JUDGED_TAIL_BUDGET, side="right"))
-    chosen = np.sort(order[:n])  # candidate keys are sorted within each slice
-    per_slice = []
-    for j in range(len(cand_counts)):
-        sel = chosen[slice_of[chosen] == j]
-        per_slice.append((keys[sel], m[sel]))
-    return per_slice, float(bound[n - 1]) if n else 0.0
+    return order[:n], float(bound[n - 1]) if n else 0.0
 
 
-def _sharpness_plank_stats(coll: PlankCollection, fam: CircleFamily, judged: list):
-    """Per-plank point counts joined across every slice.
+def _drawn_counts(cand: np.ndarray, incidences: list, pts: np.ndarray) -> np.ndarray:
+    """Points of pts in each plank holding candidates, flat in (slice, key) order.
 
-    Tracks the point-count extremes over all planks (zero-count planks
-    included via the collection cardinality), how many judged planks hold a
-    count outside [m_P/10, 10 m_P], and the dyadic bucket concentration of
-    rich planks.
+    pts are found among the candidates Y by packed key; a point that is not
+    a candidate raises ValidationError. Each plank's count is then the sum
+    of the drawn mask over its candidate rows (slice_incidences).
     """
-    max_count = 0
-    min_rich: int | None = None
-    n_outside = 0
+    cand_keys = pack_grid_keys(cand, "R")
+    by_key = np.argsort(cand_keys)
+    keys = pack_grid_keys(np.clip(np.nan_to_num(pts), cand.min(axis=0), cand.max(axis=0)), "R")
+    pos = np.searchsorted(cand_keys, keys, sorter=by_key)
+    found = by_key[np.minimum(pos, cand.shape[0] - 1)]
+    if not np.array_equal(cand[found], pts):
+        raise ValidationError("family: a point is not a well-spaced candidate")
+    drawn = np.bincount(found, minlength=cand.shape[0])
+    return np.concatenate([
+        np.add.reduceat(drawn[rows], np.cumsum(counts) - counts) for counts, rows in incidences
+    ])
+
+
+def _sharpness_plank_stats(n_planks: int, counts: np.ndarray, judged: np.ndarray,
+                           judged_m: np.ndarray) -> dict:
+    """Point-count statistics of one draw, from its counts in the planks holding candidates.
+
+    Tracks the point-count extremes over all n_planks planks (the others
+    hold 0), how many judged planks (indices into counts, of means judged_m)
+    hold a count outside [m_P/10, 10 m_P], and the dyadic bucket
+    concentration of rich planks.
+    """
+    rich = counts[counts > 0]
     bucket_counts: dict[int, int] = {}
-    n_rich = 0
-    for (ux, cx), (jk, jm) in zip(slice_counts(coll, fam.points.astype(float), 1.0), judged):
-        if ux.size:
-            n_rich += int(ux.size)
-            max_count = max(max_count, int(cx.max()))
-            low = int(cx.min())
-            min_rich = low if min_rich is None else min(min_rich, low)
-            add_dyadic_counts(bucket_counts, cx)
-        if jk.size:
-            # a judged plank that no sampled point reaches holds count 0
-            counts = np.zeros(jk.size, dtype=np.int64)
-            if ux.size:
-                pos = np.minimum(np.searchsorted(ux, jk), ux.size - 1)
-                counts = np.where(ux[pos] == jk, cx[pos], 0)
-            n_outside += int(np.sum((counts < jm / 10.0) | (counts > 10.0 * jm)))
-    n_zero = len(coll) - n_rich
-    min_count = 0 if n_zero > 0 else (min_rich if min_rich is not None else 0)
-    concentration = (max(bucket_counts.values()) / n_rich) if n_rich else 0.0
+    add_dyadic_counts(bucket_counts, rich)
+    min_count = int(rich.min()) if 0 < rich.size == n_planks else 0
+    c = counts[judged]
+    n_outside = int(np.sum((c < judged_m / 10.0) | (c > 10.0 * judged_m)))
+    concentration = (max(bucket_counts.values()) / rich.size) if rich.size else 0.0
     return {
         "min_count": float(min_count),
-        "max_count": int(max_count),
+        "max_count": int(rich.max(initial=0)),
         "n_judged_outside": n_outside,
         "concentration": float(concentration),
     }

@@ -319,13 +319,14 @@ def wellspaced_candidates(R: float, rho: float) -> tuple[np.ndarray, bool]:
     centers_1d = np.array([R / 2.0]) if single else side * (np.arange(n_cubes) + 0.5)
     half = rho / 2.0
     axes = [np.arange(math.ceil(c - half), math.floor(c + half) + 1) for c in centers_1d]
-    tiles = []
-    for r1 in axes:
-        for r2 in axes:
-            for r3 in axes:
-                g1, g2, g3 = np.meshgrid(r1, r2, r3, indexing="ij")
-                tiles.append(np.column_stack([g1.ravel(), g2.ravel(), g3.ravel()]))
-    return np.vstack(tiles), single
+    vals = np.concatenate(axes)
+    tile = np.repeat(np.arange(len(axes)), [a.size for a in axes])
+    # every (x, y, z) of the per-axis values, in (x, y, z) position order;
+    # the stable lexsort groups them by (tile_x, tile_y, tile_z) keeping that
+    # order, which is the tile order
+    idx = [g.ravel() for g in np.meshgrid(*[np.arange(vals.size)] * 3, indexing="ij")]
+    order = np.lexsort([tile[i] for i in idx[::-1]])
+    return np.column_stack([vals[i] for i in idx])[order], single
 
 
 def gen_random_wellspaced(R: float, rho: float, eps: float, seed: int) -> CircleFamily:

@@ -185,11 +185,7 @@ class PlankCollection:
 
     def planks(self) -> list[Lightplank]:
         """Materialize every plank; intended for small collections."""
-        out = []
-        for j, spec, keys, centers in self.iter_slices():
-            for c in centers:
-                out.append(Lightplank(frame=spec.frame, v=c, A=self.A, B=self.B))
-        return out
+        return [self.plank_at(j, c) for j, _, _, centers in self.iter_slices() for c in centers]
 
     def serialize(self) -> str:
         lines = [
@@ -692,12 +688,22 @@ def _assign_points(
 
 
 def slice_counts(coll: PlankCollection, pts: np.ndarray, K_rich: float):
-    """Per slice, (sorted packed keys, point counts) of the planks holding a point.
-
-    The one pass over a collection's slices that every richness count runs.
-    """
+    """Per slice, (sorted packed keys, point counts) of the planks holding a point."""
     for j in range(len(coll.slices)):
         yield np.unique(_assign_points(coll, j, pts, K_rich)[1], return_counts=True)
+
+
+def slice_incidences(coll: PlankCollection, pts: np.ndarray, K_rich: float):
+    """Per slice, (point counts, point rows grouped by plank) of the planks holding a point.
+
+    Both are int32, planks in packed-key order as in slice_counts. Points are
+    decided one at a time, so a subset of pts holds, per plank, the sum of
+    its 0/1 mask over the plank's rows.
+    """
+    for j in range(len(coll.slices)):
+        row, keys = _assign_points(coll, j, pts, K_rich)
+        counts = np.unique(keys, return_counts=True)[1]
+        yield counts.astype(np.int32), row[np.argsort(keys)].astype(np.int32)
 
 
 @dataclass
@@ -831,7 +837,7 @@ def bilinear_rich(
     nb = len(B_fam)
     pts = np.vstack([B_fam.points.astype(float), W_fam.points.astype(float)])
     scale = max(B_fam.scale_R, W_fam.scale_R)
-    d_bw = _set_distance(pts[:nb], pts[nb:])
+    d_bw = float(cKDTree(pts[nb:]).query(pts[:nb], k=1)[0].min())
     if not (scale / 20.0 <= d_bw <= 20.0 * scale):
         warnings.warn(
             f"family distance {d_bw:.3g} is not comparable to the scale {scale:.3g}",
@@ -869,9 +875,3 @@ def bilinear_rich(
         count=len(rects), rhs=rhs, ratio=len(rects) / rhs, n_cross_pairs=int(cross.shape[0]),
         rects=rects,
     )
-
-
-def _set_distance(a: np.ndarray, b: np.ndarray) -> float:
-    tree = cKDTree(b)
-    d, _ = tree.query(a, k=1)
-    return float(np.min(d))

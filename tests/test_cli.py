@@ -227,6 +227,35 @@ class TestExperimentCommand:
             for name in names:
                 assert (tmp_path / sub / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
 
+    @pytest.mark.parametrize("section, key", [
+        ("[ct_bound]\nrho = 4\n", "delta"),
+        ("[rectangle_bound]\nK = 2\n", "R"),
+        ("[exact_ct]\n", "n"),
+        ("[chernoff]\np = 0.1\ntrials = 10\n", "n"),
+        ("[chernoff]\nn = 10\ntrials = 10\n", "p"),
+    ])
+    def test_missing_list_key_exit_2(self, tmp_path, capsys, section, key):
+        # a missing list is misuse, not a failed gate (exit 1)
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(section)
+        assert run_cli("experiment", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+        assert f"error: {key}: required list is missing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key", [
+        ("[sharpness]\nR = 256\nrho = 16\neps = 0.25\nseeds =\n", "seeds"),
+        ("[sharpness]\nR = 256\nrho = 16\neps = 0.25\nseeds = 5:3\n", "seeds"),
+        ("[ct_bound]\ndelta =\n", "delta"),
+        ("[rectangle_bound]\nR = ,\n", "R"),
+    ])
+    def test_empty_list_exit_2(self, tmp_path, capsys, section, key):
+        # an empty list runs nothing, which must not report gates_pass=True
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(section)
+        out = tmp_path / "o"
+        assert run_cli("experiment", "--config", str(cfg), "--out", str(out)) == 2
+        assert f"error: {key}: list is empty" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
+
     def test_malformed_config_exit_2(self, tmp_path):
         cfg = tmp_path / "cfg.ini"
         cfg.write_text("[mystery]\nfoo = 1\n")

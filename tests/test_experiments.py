@@ -12,8 +12,17 @@ from scipy import stats as sstats
 from conftest import clustered_unit_family, random_unit_family
 from tangencylab import experiments as ex
 from tangencylab import geometry
+from tangencylab import planks as planks_mod
 from tangencylab.errors import DegenerateSweepError, InvalidParamsError, ValidationError
-from tangencylab.families import CircleFamily, gen_clamshell, gen_integer_lattice, unit_box
+from tangencylab.families import (
+    CircleFamily,
+    cube_box,
+    gen_clamshell,
+    gen_integer_lattice,
+    gen_random_wellspaced,
+    unit_box,
+    wellspaced_candidates,
+)
 from tangencylab.geometry import (
     Lightplank,
     comparability_gap_limit,
@@ -27,6 +36,13 @@ from tangencylab.geometry import (
     wrap_angle,
 )
 from tangencylab.incidence import bin_dyadic, count_ct_delta_hashed
+from tangencylab.planks import (
+    _unpack_idx,
+    enumerate_incomparable,
+    richness,
+    slice_counts,
+    slice_incidences,
+)
 
 
 class TestScalingSweep:
@@ -395,23 +411,120 @@ class TestSharpness:
             assert r["plank_ok_exact"] == (r["n_judged_outside"] == 0)
 
     def test_judged_selection_is_the_largest_within_budget(self):
-        # slice 0: m_P = 40, 10 and 2; slice 1: m_P = 20, 20 and 6
+        # flat in (slice, key) order: slice 0 (keys 3, 5, 9) has m_P = 40, 10
+        # and 2; slice 1 (keys 1, 2, 4) has m_P = 20, 20 and 6
         p = 0.5
-        cand = [
-            (np.array([3, 5, 9]), np.array([80, 20, 4])),
-            (np.array([1, 2, 4]), np.array([40, 40, 12])),
-        ]
-        judged, total = ex._judged_planks(cand, p)
+        slice_of, keys = np.array([0, 0, 0, 1, 1, 1]), np.array([3, 5, 9, 1, 2, 4])
+        m = p * np.array([80, 20, 4, 40, 40, 12]).astype(float)
+        judged, total = ex._judged_planks(m)
         bound = lambda m: math.exp(-5 * m) + math.exp(-m / 2)
-        ms = sorted((float(m) for _, arr in judged for m in arr), reverse=True)
+        ms = sorted((float(v) for v in m[judged]), reverse=True)
         assert ms == [40.0, 20.0, 20.0, 10.0]
         assert total == pytest.approx(sum(bound(m) for m in ms))
         assert total <= ex.JUDGED_TAIL_BUDGET < total + bound(6.0)
-        assert judged[0][0].tolist() == [3, 5] and judged[1][0].tolist() == [1, 2]
+        # taken by decreasing m_P; the tied 20s by slice, then key
+        assert list(zip(slice_of[judged].tolist(), keys[judged].tolist())) == [
+            (0, 3), (1, 1), (1, 2), (0, 5)
+        ]
+
+    def test_empty_seed_list_refused(self):
+        with pytest.raises(InvalidParamsError, match="seeds"):
+            ex.run_sharpness(R=2**8, rho=2**4, eps=0.25, seeds=[])
 
     def test_invalid_rho(self):
         with pytest.raises(InvalidParamsError):
             ex.run_sharpness(R=2**8, rho=2**5, eps=0.2, seeds=[0])  # rho > sqrt(R)
+
+
+def _slice_count_keys(coll, pts):
+    """Oracle: slice_counts' per-slice (sorted packed keys, counts) of the planks holding pts."""
+    return list(slice_counts(coll, pts.astype(float), 1.0))
+
+
+@pytest.fixture(scope="module")
+def tiled_candidates():
+    """The R = 2^10 collection, the rho = 2 candidates Y and their incidences."""
+    coll = enumerate_incomparable(2**10, S=2**10, K=2.0)
+    cand, _ = wellspaced_candidates(2**10, 2)
+    return coll, cand, list(slice_incidences(coll, cand.astype(float), 1.0))
+
+
+class TestSharpnessRestriction:
+    """Per-seed counts restrict the candidates' plank incidences to the draw."""
+
+    @pytest.mark.parametrize("rho, eps, seeds", [(2, 0.1, [0, 1, 7]), (2**5, 0.2, [0, 1, 2, 3])])
+    def test_counts_equal_slice_counts_of_the_draw(self, tiled_candidates, rho, eps, seeds):
+        coll = tiled_candidates[0]
+        cand, _ = wellspaced_candidates(2**10, rho)
+        incidences = list(slice_incidences(coll, cand.astype(float), 1.0))
+        cand_slices = _slice_count_keys(coll, cand)
+        for (counts, rows), (_, oracle) in zip(incidences, cand_slices):
+            assert counts.dtype == rows.dtype == np.int32
+            assert np.array_equal(counts, oracle) and rows.size == counts.sum()
+        drawn = 0
+        for seed in seeds:
+            fam = gen_random_wellspaced(2**10, rho, eps, seed)
+            want = []
+            fam_slices = _slice_count_keys(coll, fam.points)
+            for (ckeys, _), (fkeys, fcounts) in zip(cand_slices, fam_slices):
+                # every plank a drawn point reaches holds candidates
+                assert np.isin(fkeys, ckeys).all()
+                full = np.zeros(ckeys.size, dtype=np.int64)
+                full[np.searchsorted(ckeys, fkeys)] = fcounts
+                want.append(full)
+            got = ex._drawn_counts(cand, incidences, fam.points)
+            assert np.array_equal(got, np.concatenate(want))
+            drawn += int(got.sum())
+        assert drawn > 0
+
+    def test_judged_counts_equal_richness(self, tiled_candidates):
+        coll, cand, incidences = tiled_candidates
+        R, rho, eps = 2**10, 2, 0.1
+        p = R**eps * rho**-3.0
+        cand_counts = np.concatenate([counts for counts, _ in incidences])
+        judged, _ = ex._judged_planks(p * cand_counts.astype(float))
+        assert judged.size > 0
+        per_slice = _slice_count_keys(coll, cand)
+        slice_of = np.concatenate([np.full(k.size, j) for j, (k, _) in enumerate(per_slice)])
+        keys = np.concatenate([k for k, _ in per_slice])
+        cand_fam = CircleFamily(cand.astype(float), R, rho, cube_box(R), {})
+        fam = gen_random_wellspaced(R, rho, eps, 1)
+        counts = ex._drawn_counts(cand, incidences, fam.points)
+        for t in judged.tolist():
+            j = int(slice_of[t])
+            center = (_unpack_idx(keys[t:t + 1]) * coll.spacing) @ coll.slices[j].frame.matrix()
+            plank = coll.plank_at(j, center[0])
+            assert richness(plank, cand_fam, K=1.0) == cand_counts[t]
+            assert richness(plank, fam, K=1.0) == counts[t]
+
+    @pytest.mark.parametrize("point", [
+        (0.0, 0.0, 0.0),  # integral, inside the box, between tiles
+        (100.0, 100.0, 100.5),  # packs to the key of candidate (100, 100, 100)
+        (-3.0, 100.0, 100.0),  # below the box
+        (5000.0, 100.0, 100.0),  # above it
+        (np.nan, 100.0, 100.0),
+    ])
+    def test_point_off_the_candidates_raises(self, tiled_candidates, point):
+        _, cand, incidences = tiled_candidates
+        pts = np.array([[100.0, 100.0, 100.0], [99.0, 101.0, 300.0]])
+        assert ex._drawn_counts(cand, incidences, pts).sum() > 0
+        with pytest.raises(ValidationError, match="candidate"):
+            ex._drawn_counts(cand, incidences, np.vstack([pts, point]))
+
+    def test_one_assignment_pass_per_slice(self, monkeypatch):
+        calls = []
+        assign = planks_mod._assign_points
+
+        def counted(coll, j, pts, K_rich):
+            calls.append(j)
+            return assign(coll, j, pts, K_rich)
+
+        monkeypatch.setattr(planks_mod, "_assign_points", counted)
+        n_slices = len(enumerate_incomparable(2**8, S=2**8, K=2.0).slices)
+        for seeds in ([0], [0, 1, 2, 3]):
+            calls.clear()
+            ex.run_sharpness(R=2**8, rho=2**4, eps=0.25, seeds=seeds)
+            assert sorted(calls) == list(range(n_slices))
 
 
 class TestReports:

@@ -7,6 +7,7 @@ import pytest
 
 from tangencylab.errors import EmptyFamilyError, InvalidParamsError
 from tangencylab.families import (
+    WELLSPACED_GRID_FACTOR,
     CircleFamily,
     check_frostman,
     check_separation,
@@ -19,6 +20,7 @@ from tangencylab.families import (
     load_family,
     pack_grid_keys,
     unit_box,
+    wellspaced_candidates,
 )
 from tangencylab.geometry import delta_gap
 
@@ -177,6 +179,36 @@ class TestWellspaced:
             nY = int(fam.provenance["n_candidates"])
             successes += nY * p / 10 <= len(fam) <= 10 * nY * p
         assert successes == 18  # frozen observed outcome
+
+
+def _tile_loop_candidates(R, rho):
+    """Oracle for wellspaced_candidates: one meshgrid per tile, tiles in order."""
+    side = WELLSPACED_GRID_FACTOR * rho
+    n_cubes = int(math.floor(R / side))
+    centers_1d = [R / 2.0] if n_cubes < 1 else side * (np.arange(n_cubes) + 0.5)
+    axes = [np.arange(math.ceil(c - rho / 2.0), math.floor(c + rho / 2.0) + 1) for c in centers_1d]
+    tiles = []
+    for r1 in axes:
+        for r2 in axes:
+            for r3 in axes:
+                g1, g2, g3 = np.meshgrid(r1, r2, r3, indexing="ij")
+                tiles.append(np.column_stack([g1.ravel(), g2.ravel(), g3.ravel()]))
+    return np.vstack(tiles), n_cubes < 1, {a.size for a in axes}
+
+
+class TestWellspacedCandidates:
+    @pytest.mark.parametrize("R, rho, single, sizes", [
+        (2**11, 2, False, {3}),  # 1,000 tiles
+        (2**10, 2**5, True, {33}),  # one centred tile
+        (1000, 1.234, False, {1, 2}),  # tile centres off the integers
+    ])
+    def test_equals_tile_loop(self, R, rho, single, sizes):
+        # Y's order is the RNG's draw order, so it must match exactly
+        Y, flag = wellspaced_candidates(R, rho)
+        oracle, oracle_flag, oracle_sizes = _tile_loop_candidates(R, rho)
+        assert (flag, oracle_flag) == (single, single) and oracle_sizes == sizes
+        assert Y.dtype == oracle.dtype == np.int64
+        assert np.array_equal(Y, oracle)
 
 
 class TestIntegerLattice:
