@@ -224,15 +224,15 @@ def _run_section(name: str, sec: configparser.SectionProxy, workers: int) -> ex.
         ps = [float(v) for v in _parse_values(sec, "p")]
         trials = sec.getint("trials", 10**6)
         seed = _env_seed(sec.getint("seed", 0))
+        runs = [(n, p) for n in ns for p in ps if n * p >= sec.getfloat("min_np", 0.0)]
+        if not runs:
+            raise InvalidParamsError("min_np: no (n, p) pair has n p >= min_np, so nothing runs")
         merged = ex.ExperimentReport(experiment="chernoff")
         all_pass = True
-        for n in ns:
-            for p in ps:
-                if n * p < sec.getfloat("min_np", 0.0):
-                    continue
-                rep = ex.chernoff_tails(n, p, trials, seed=seed)
-                merged.rows.extend(rep.rows)
-                all_pass &= rep.summary["gates_pass"]
+        for n, p in runs:
+            rep = ex.chernoff_tails(n, p, trials, seed=seed)
+            merged.rows.extend(rep.rows)
+            all_pass &= rep.summary["gates_pass"]
         merged.summary = {
             "gates_pass": all_pass,
             "provenance": f"chernoff:n={ns},p={ps},trials={trials},seed={seed}",

@@ -27,6 +27,7 @@ from .families import (
     check_separation,
     cube_box,
     cube_occupancy,
+    format_scalar,
     gen_clamshell,
     gen_integer_lattice,
     gen_maximal_separated,
@@ -70,7 +71,7 @@ class ExperimentReport:
         lines = ["# provenance=" + self.summary.get("provenance", "")]
         lines.append(",".join(CSV_COLUMNS))
         for row in self.rows:
-            lines.append(",".join(_csv_cell(row.get(c, "")) for c in CSV_COLUMNS))
+            lines.append(",".join(format_scalar(row.get(c, "")) for c in CSV_COLUMNS))
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path):
@@ -91,14 +92,6 @@ def _json_default(obj):
     if isinstance(obj, (np.integer, np.floating, np.ndarray)):
         return obj.tolist()
     raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
-def _csv_cell(val) -> str:
-    if isinstance(val, (float, np.floating)):
-        return repr(float(val))
-    if isinstance(val, np.integer):
-        return str(int(val))
-    return str(val)
 
 
 def _parallel_map(fn, jobs: list, workers: int) -> list:

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import EmptyFamilyError, InvalidParamsError
-from .geometry import Circle3
+from .geometry import Circle3, expand_ranges
 
 Box = tuple[tuple[float, float], tuple[float, float], tuple[float, float]]
 
@@ -170,13 +170,13 @@ class CircleFamily:
         lines = []
         meta = {
             "generator": self.provenance.get("generator", "unknown"),
-            "R": _fmt(self.scale_R),
-            "rho": _fmt(self.separation_rho),
+            "R": format_scalar(self.scale_R),
+            "rho": format_scalar(self.separation_rho),
         }
         for key, val in sorted(self.provenance.items()):
             if key == "generator":
                 continue
-            meta[key] = _fmt(val)
+            meta[key] = format_scalar(val)
         lines.append("# " + " ".join(f"{k}={v}" for k, v in meta.items()))
         lines.append(
             "# box="
@@ -202,7 +202,9 @@ class CircleFamily:
             fh.write(body)
 
 
-def _fmt(val) -> str:
+def format_scalar(val) -> str:
+    """Text of a scalar in family headers and report CSVs: repr of a float,
+    str of an int (numpy or not), str of anything else."""
     if isinstance(val, (float, np.floating)):
         return repr(float(val))
     if isinstance(val, np.integer):
@@ -318,9 +320,8 @@ def wellspaced_candidates(R: float, rho: float) -> tuple[np.ndarray, bool]:
     single = n_cubes < 1
     centers_1d = np.array([R / 2.0]) if single else side * (np.arange(n_cubes) + 0.5)
     half = rho / 2.0
-    axes = [np.arange(math.ceil(c - half), math.floor(c + half) + 1) for c in centers_1d]
-    vals = np.concatenate(axes)
-    tile = np.repeat(np.arange(len(axes)), [a.size for a in axes])
+    lo, hi = np.ceil(centers_1d - half).astype(np.int64), np.floor(centers_1d + half).astype(np.int64)
+    tile, vals = expand_ranges(np.arange(centers_1d.size), lo, hi + 1)
     # every (x, y, z) of the per-axis values, in (x, y, z) position order;
     # the stable lexsort groups them by (tile_x, tile_y, tile_z) keeping that
     # order, which is the tile order

@@ -13,7 +13,9 @@ kernel (containment_window, in_window, mutual_containment) that every plank
 comparison in the package is built on; comparability_graph evaluates it on
 the pairs of one plank shape that an angle-gap bound leaves. point_window is
 the one plank membership rule for points, the same kernel at zero inner
-half-widths.
+half-widths. expand_ranges lists ragged index ranges, and range_blocks
+splits that list into memory-bounded pieces, for every sweep and scan of
+the package.
 """
 
 from __future__ import annotations
@@ -129,17 +131,28 @@ class PlankFrame:
 
     The frame normalizes the cone direction (cos t, sin t, 1)/sqrt(2), its
     angular derivative, and their cross product to unit vectors, so plank
-    side lengths are literal Euclidean lengths.
+    side lengths are literal Euclidean lengths. axes holds them as the rows
+    (axis_a, axis_b, axis_c), built once and read-only.
     """
 
     theta: float
-    axis_a: np.ndarray
-    axis_b: np.ndarray
-    axis_c: np.ndarray
+    axes: np.ndarray
+
+    @property
+    def axis_a(self) -> np.ndarray:
+        return self.axes[0]
+
+    @property
+    def axis_b(self) -> np.ndarray:
+        return self.axes[1]
+
+    @property
+    def axis_c(self) -> np.ndarray:
+        return self.axes[2]
 
     def matrix(self) -> np.ndarray:
         """Rows are (axis_a, axis_b, axis_c)."""
-        return np.stack([self.axis_a, self.axis_b, self.axis_c])
+        return self.axes
 
 
 def plank_axes(theta: float) -> PlankFrame:
@@ -151,10 +164,13 @@ def plank_axes(theta: float) -> PlankFrame:
     the closed forms below bake that in.
     """
     c, s = math.cos(theta), math.sin(theta)
-    axis_a = np.array([c / SQRT2, s / SQRT2, 1.0 / SQRT2])
-    axis_b = np.array([-s, c, 0.0])
-    axis_c = np.array([-c / SQRT2, -s / SQRT2, 1.0 / SQRT2])
-    return PlankFrame(theta=theta, axis_a=axis_a, axis_b=axis_b, axis_c=axis_c)
+    axes = np.array([
+        [c / SQRT2, s / SQRT2, 1.0 / SQRT2],
+        [-s, c, 0.0],
+        [-c / SQRT2, -s / SQRT2, 1.0 / SQRT2],
+    ])
+    axes.flags.writeable = False
+    return PlankFrame(theta=theta, axes=axes)
 
 
 @dataclass(frozen=True)
@@ -336,6 +352,47 @@ def comparability_gap_limit(hw: np.ndarray, K: float) -> float:
     return min(math.pi, math.acos(cos_lim) * (1.0 + 1e-9))
 
 
+def _expand(labels, offsets, counts, first: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions first, first + 1, ... laid over ranges of counts[k] values:
+    each position's range label, and the position plus its range's offset."""
+    values = np.repeat(offsets, counts)
+    values += np.arange(first, first + values.size, dtype=np.int64)
+    return np.repeat(labels, counts), values
+
+
+def expand_ranges(labels, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """(label, value) for every value in [lo[k], hi[k]), range after range.
+
+    Values ascend within a range; a range with hi[k] <= lo[k] yields nothing.
+    This is the one expansion of ragged index ranges in the package.
+    """
+    counts = np.maximum(hi - lo, 0)
+    return _expand(labels, lo - (np.cumsum(counts) - counts), counts, 0)
+
+
+def range_blocks(labels, lo, hi, block: int):
+    """expand_ranges(labels, lo, hi) in pieces of at most `block` values.
+
+    Piece k holds positions [k block, (k + 1) block) of the expansion: the
+    ranges that meet those positions, the first and last clipped to them.
+    This is the one rule by which the package bounds the memory of a ragged
+    expansion.
+    """
+    counts = np.maximum(hi - lo, 0)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    offsets = lo - starts
+    for first in range(0, int(ends[-1]) if ends.size else 0, block):
+        # ranges k0 .. k1 - 1 meet the piece: k0 holds position `first`,
+        # k1 - 1 is the last to start before first + block
+        k0 = int(np.searchsorted(ends, first, side="right"))
+        k1 = int(np.searchsorted(starts, first + block))
+        piece = counts[k0:k1].copy()
+        piece[0] -= first - starts[k0]
+        piece[-1] -= max(int(ends[k1 - 1]) - first - block, 0)
+        yield _expand(labels[k0:k1], offsets[k0:k1], piece, first)
+
+
 # Candidate pairs of comparability_graph are evaluated in blocks of at most
 # this many, so transient memory stays small: a block holds the frame
 # matrices of both ends of each pair (144 bytes a pair each) at once.
@@ -346,46 +403,36 @@ def comparability_graph(thetas, centers, mats, hw, K: float):
     """Comparable pairs among planks of half-widths hw, joined by angle gap.
 
     Planks whose angle gap exceeds comparability_gap_limit cannot be
-    comparable, so only pairs within it are evaluated, in blocks of at most
-    _PAIR_BLOCK: angles are sorted, copied at +2 pi for the wrap-around, and
-    each plank is joined to the planks ahead of it within the limit (to all
-    later ones in sorted order when the limit reaches pi), which meets every
-    pair once. Returns (earlier, later, inside, holds) over the comparable
-    pairs earlier < later, sorted by (later, earlier): inside when plank
-    `later` lies in the K-dilation of plank `earlier`, holds when `earlier`
-    lies in the K-dilation of `later`. A pair is evaluated exactly as
-    mutual_containment evaluates it with `later` as the one plank.
+    comparable, so only pairs within it are evaluated, in range_blocks of
+    _PAIR_BLOCK pairs: angles are sorted, copied at +2 pi for the
+    wrap-around, and each plank is joined to the planks ahead of it within
+    the limit (to all later ones in sorted order when the limit reaches pi),
+    which meets every pair once. Returns (earlier, later, inside, holds) over
+    the comparable pairs earlier < later, sorted by (later, earlier): inside
+    when plank `later` lies in the K-dilation of plank `earlier`, holds when
+    `earlier` lies in the K-dilation of `later`. A pair is evaluated exactly
+    as mutual_containment evaluates it with `later` as the one plank.
     """
     m = thetas.shape[0]
     lim = comparability_gap_limit(hw, K)
     order = np.argsort(thetas, kind="stable")
     s = thetas[order]
-    # plank at sorted position p meets positions lo[p] .. hi[p] - 1 of the
+    # plank at sorted position p meets positions p + 1 .. hi[p] - 1 of the
     # angles followed by their copies at +2 pi
-    lo = np.arange(m) + 1
     if lim >= math.pi * (1.0 - 1e-9):
         hi = np.full(m, m)
     else:
         hi = np.searchsorted(np.concatenate([s, s + 2.0 * math.pi]), s + lim, side="right")
-    counts = hi - lo
-    first = np.cumsum(counts) - counts
     none = np.zeros(0, dtype=np.int64)
     out = [(none, none, none.astype(bool), none.astype(bool))]
-    start = 0
-    while start < m:
-        stop = max(int(np.searchsorted(first, first[start] + _PAIR_BLOCK, side="right")), start + 1)
-        rows = np.repeat(np.arange(start, stop), counts[start:stop])
-        pos = np.arange(rows.size) + np.repeat(
-            lo[start:stop] - first[start:stop] + first[start], counts[start:stop]
-        )
-        i, j = order[rows], order[pos % m]
+    for i, pos in range_blocks(order, np.arange(m) + 1, hi, _PAIR_BLOCK):
+        j = order[pos % m]
         a, b = np.minimum(i, j), np.maximum(i, j)
         inside, holds = mutual_containment(
             thetas[b], centers[b], mats[b], thetas[a], centers[a], mats[a], hw, K
         )
         keep = inside | holds
         out.append((a[keep], b[keep], inside[keep], holds[keep]))
-        start = stop
     a, b, inside, holds = (np.concatenate(col) for col in zip(*out))
     by = np.lexsort((a, b))
     return a[by], b[by], inside[by], holds[by]

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InvalidParamsError
 from .families import CircleFamily
-from .geometry import ANNULUS_THICKNESS_FACTOR, Rect2, rect_axes, rect_corners
+from .geometry import ANNULUS_THICKNESS_FACTOR, Rect2, expand_ranges, range_blocks, rect_axes, rect_corners
 
 # The vectorized exact-tangency paths stay in int64; coordinate spans above
 # this bound switch to Python integers, which cannot overflow.
@@ -234,6 +234,9 @@ def _direction_sweep(pts: np.ndarray, delta: float, bins: int) -> np.ndarray:
     s_reach = delta + reach * vers_h + margin  # |ds| of a pair its bin owns
     cell = reach * sin_h + margin  # |dw| of a pair its bin owns
     found = [np.empty(0, dtype=np.int64)]
+    # window f of a bin holds the sorted positions j in [first[f], stop[f])
+    # of the pairs (f mod n, j)
+    points = np.tile(np.arange(n), 2)
     for b in range(bins):
         theta = (b + 0.5) * alpha - math.pi
         s = x * math.cos(theta) + y * math.sin(theta) - z
@@ -253,7 +256,7 @@ def _direction_sweep(pts: np.ndarray, delta: float, bins: int) -> np.ndarray:
             key, np.concatenate([key + (s_reach + slack), key + (stride + s_reach + slack)]), side="right"
         )
         xs, ys, zs, ws, ss = x[order], y[order], z[order], w[order], s[order]
-        for ii, jj in _window_blocks(first, stop, n):
+        for ii, jj in range_blocks(points, first, stop, _SWEEP_BLOCK):
             # filter in sorted positions: dz >= 0 orients the bounds, and
             # pairs with dz = 0 pass the s-test either way round
             dz = zs[jj] - zs[ii]
@@ -274,26 +277,6 @@ def _direction_sweep(pts: np.ndarray, delta: float, bins: int) -> np.ndarray:
             own = np.minimum(np.floor((phi + math.pi) / alpha), bins - 1) == b
             found.append(np.minimum(i, j)[own] * n + np.maximum(i, j)[own])
     return np.concatenate(found)
-
-
-def _window_blocks(first: np.ndarray, stop: np.ndarray, n: int):
-    """Candidate pairs (i, j) of the windows, in blocks of at most _SWEEP_BLOCK pairs.
-
-    Window f holds j in [first[f], stop[f]) with i = f mod n; a window
-    larger than a block makes a block of its own.
-    """
-    counts = stop - first
-    ends = np.cumsum(counts)
-    f0 = 0
-    while f0 < counts.size:
-        base = int(ends[f0 - 1]) if f0 else 0
-        f1 = max(int(np.searchsorted(ends, base + _SWEEP_BLOCK, side="right")), f0 + 1)
-        c = counts[f0:f1]
-        total = int(ends[f1 - 1]) - base
-        if total:
-            yield (np.repeat(np.arange(f0, f1) % n, c),
-                   np.arange(total) + np.repeat(first[f0:f1] - (ends[f0:f1] - c - base), c))
-        f0 = f1
 
 
 # ---------------------------------------------------------------------------
@@ -354,11 +337,9 @@ def count_ct0_exact(family: CircleFamily, with_bins: bool = True) -> TangencyPai
         if found is None:
             found = _ct0_vectorized(pts)
     pairs_arr, exps = found
-    by_distance = None
-    if with_bins:
-        by_distance = {float(2.0 ** int(e)): pairs_arr[exps == e] for e in np.unique(exps)}
     return TangencyPairSet(
-        pairs=pairs_arr, delta=0.0, family_hash=family.provenance_hash(), by_distance=by_distance
+        pairs=pairs_arr, delta=0.0, family_hash=family.provenance_hash(),
+        by_distance=_dyadic_buckets(pairs_arr, exps) if with_bins else None,
     )
 
 
@@ -378,9 +359,7 @@ def _light_cone_stencil(Z: int, sx: int, sy: int) -> np.ndarray:
     family with planar spans sx, sy can differ by any other.
     """
     heights = np.arange(1, Z + 1, dtype=np.int64)
-    widths = 2 * heights + 1  # dx runs over -dz..dz
-    dz = np.repeat(heights, widths)
-    dx = np.arange(dz.size, dtype=np.int64) - np.repeat(np.cumsum(widths) - widths, widths) - dz
+    dz, dx = expand_ranges(heights, -heights, heights + 1)
     rest = dz * dz - dx * dx
     # rest < 2^53, so sqrt is exact on squares and the check drops the rest
     dy = np.rint(np.sqrt(rest)).astype(np.int64)
@@ -492,6 +471,11 @@ def _ct0_python(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
+def _dyadic_buckets(pairs: np.ndarray, exps: np.ndarray) -> dict[float, np.ndarray]:
+    """The pairs of each dyadic exponent e, keyed by the bucket 2^e as a float."""
+    return {float(2.0 ** int(e)): pairs[exps == e] for e in np.unique(exps)}
+
+
 def bin_dyadic(pairs: TangencyPairSet, family: CircleFamily) -> TangencyPairSet:
     """Fill by_distance with dyadic buckets D = 2^floor(log2 |x_i - x_j|).
 
@@ -511,9 +495,9 @@ def bin_dyadic(pairs: TangencyPairSet, family: CircleFamily) -> TangencyPairSet:
     # frexp gives d = m 2^e with m in [0.5, 1), so floor(log2 d) = e - 1
     # exactly; np.log2 rounds up to an integer just below a power of two
     exps = np.frexp(dists)[1].astype(np.int64) - 1
-    by_distance = {float(2.0 ** int(e)): pairs.pairs[exps == e] for e in np.unique(exps)}
     return TangencyPairSet(
-        pairs=pairs.pairs, delta=pairs.delta, family_hash=pairs.family_hash, by_distance=by_distance
+        pairs=pairs.pairs, delta=pairs.delta, family_hash=pairs.family_hash,
+        by_distance=_dyadic_buckets(pairs.pairs, exps),
     )
 
 

@@ -65,10 +65,12 @@ from .geometry import (
     PlankFrame,
     comparability_graph,
     containment_window,
+    expand_ranges,
     frame_coords,
     in_window,
     plank_axes,
     point_window,
+    range_blocks,
     tangency_point,
     tangency_rect,
     wrap_angle,
@@ -300,11 +302,9 @@ def _row_extents(frame: PlankFrame, spacing: np.ndarray, hw: np.ndarray, box: Bo
     inner = in_lo <= in_hi
     # undecided cells: below and above the narrow interval, or the whole
     # wide interval when the narrow one is empty
-    rows = np.arange(out_lo.size)
-    seg_row = np.concatenate([rows, rows])
     seg_lo = np.concatenate([out_lo, np.where(inner, in_hi + 1, 0)])
-    seg_hi = np.concatenate([np.where(inner, in_lo - 1, out_hi), np.where(inner, out_hi, -1)])
-    row, a = _segment_cells(seg_row, seg_lo, seg_hi)
+    seg_hi = np.concatenate([np.where(inner, in_lo, out_hi + 1), np.where(inner, out_hi + 1, 0)])
+    row, a = expand_ranges(np.tile(np.arange(out_lo.size), 2), seg_lo, seg_hi)
     a_lo = np.where(inner, in_lo, a1 + 1)
     a_hi = np.where(inner, in_hi, a0 - 1)
     if a.size:
@@ -317,15 +317,6 @@ def _row_extents(frame: PlankFrame, spacing: np.ndarray, hw: np.ndarray, box: Bo
     )
 
 
-def _segment_cells(seg_row: np.ndarray, seg_lo: np.ndarray, seg_hi: np.ndarray):
-    """(row, a) of every cell of the segments seg_lo <= a <= seg_hi, segment by segment."""
-    lens = np.maximum(seg_hi - seg_lo + 1, 0)
-    starts = np.cumsum(lens) - lens
-    row = np.repeat(seg_row, lens)
-    a = np.arange(row.size, dtype=np.int64) + np.repeat(seg_lo - starts, lens)
-    return row, a
-
-
 def _grid_sat_cells(
     ext: _RowExtents, frame: PlankFrame, spacing: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -335,7 +326,7 @@ def _grid_sat_cells(
     in lexicographic (a, b, c) order, which is packed-key order.
     """
     nb, nc = ext.a_lo.shape
-    row, a = _segment_cells(np.arange(nb * nc), ext.a_lo.ravel(), ext.a_hi.ravel())
+    row, a = expand_ranges(np.arange(nb * nc), ext.a_lo.ravel(), ext.a_hi.ravel() + 1)
     order = np.argsort(a, kind="stable")
     row, a = row[order], a[order]
     idx = np.column_stack([a, ext.origin[0] + row // nc, ext.origin[1] + row % nc])
@@ -481,24 +472,6 @@ def _domain_rows(extents: list[_RowExtents]) -> tuple[np.ndarray, ...]:
     return b[first], c[first], lo[first], np.maximum.reduceat(hi, first)
 
 
-def _domain_blocks(rows: tuple[np.ndarray, ...]):
-    """The cells (n, 3) of the intervals `rows`, at most _PATTERN_BLOCK at a time.
-
-    Block k holds the cells at positions [k B, (k + 1) B) of the intervals
-    laid end to end: the intervals overlapping that range, clipped to it.
-    """
-    b, c, lo, hi = rows
-    ends = np.cumsum(hi - lo + 1)
-    starts = ends - (hi - lo + 1)
-    for first in range(0, int(ends[-1]) if ends.size else 0, _PATTERN_BLOCK):
-        last = first + _PATTERN_BLOCK
-        iv = np.arange(np.searchsorted(ends, first, side="right"), np.searchsorted(starts, last))
-        seg_lo = lo[iv] + np.maximum(first - starts[iv], 0)
-        seg_hi = hi[iv] - np.maximum(ends[iv] - last, 0)
-        iv, a = _segment_cells(iv, seg_lo, seg_hi)
-        yield np.column_stack([a, b[iv], c[iv]])
-
-
 def _row_keys(b, c, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     """Row-major (b, c, a) keys of the first and last cell of each interval."""
     return _pack_idx(np.column_stack([b, c, lo])), _pack_idx(np.column_stack([b, c, hi]))
@@ -523,7 +496,7 @@ class _Pattern:
         """The v cells (n, 3) in the row intervals `rows` comparable to a kept u plank."""
         first = np.searchsorted(self.v_keys, rows[0], side="left")
         last = np.searchsorted(self.v_keys, rows[1], side="right")
-        _, pos = _segment_cells(np.arange(first.size), first, last - 1)
+        _, pos = expand_ranges(np.arange(first.size), first, last)
         u = _unpack_idx(self.u_keys[pos])
         kept = _kept(u_spec, u)
         v, u = _unpack_idx(self.v_keys[pos[kept]])[:, [2, 0, 1]], u[kept]
@@ -595,7 +568,9 @@ def _comparability_patterns(extents, step: float, gaps, spacing, hw, K: float) -
         directions = ((True, frame, extents[g:]), (False, frame.T, extents[: T - g]))
         for forward, to_far, domain in directions:
             v_keys, u_keys = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-            for cells in _domain_blocks(_domain_rows(domain)):
+            b, c, lo, hi = _domain_rows(domain)
+            for iv, a in range_blocks(np.arange(b.size), lo, hi + 1, _PATTERN_BLOCK):
+                cells = np.column_stack([a, b[iv], c[iv]])
                 row, far = _window_cells((cells * spacing) @ to_far.T, spacing, window)
                 v, u = (cells[row], far) if forward else (far, cells[row])
                 v_keys.append(_pack_idx(v[:, [1, 2, 0]]))

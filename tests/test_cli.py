@@ -256,6 +256,15 @@ class TestExperimentCommand:
         assert f"error: {key}: list is empty" in capsys.readouterr().err
         assert not list(out.glob("*.csv"))
 
+    def test_chernoff_min_np_dropping_every_pair_exit_2(self, tmp_path, capsys):
+        # n p = 1 < min_np: the filter leaves nothing to run, like an empty list
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[chernoff]\nn = 10\np = 0.1\ntrials = 10\nmin_np = 5\n")
+        out = tmp_path / "o"
+        assert run_cli("experiment", "--config", str(cfg), "--out", str(out)) == 2
+        assert "error: min_np:" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
+
     def test_malformed_config_exit_2(self, tmp_path):
         cfg = tmp_path / "cfg.ini"
         cfg.write_text("[mystery]\nfoo = 1\n")

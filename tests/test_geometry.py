@@ -16,6 +16,7 @@ from tangencylab.geometry import (
     containment_slack,
     containment_window,
     delta_gap,
+    expand_ranges,
     is_exact_tangent_int,
     mixed_abs_matrix,
     mutual_containment,
@@ -26,6 +27,7 @@ from tangencylab.geometry import (
     plank_corners,
     point_rect_distance,
     point_window,
+    range_blocks,
     rect_axes,
     rect_corners,
     rotate_plank_z,
@@ -147,6 +149,13 @@ class TestPlankAxes:
         for theta in rng.uniform(-math.pi, math.pi, 1000):
             m = plank_axes(theta).matrix()
             np.testing.assert_allclose(m @ m.T, np.eye(3), atol=1e-12)
+
+    def test_matrix_is_built_once_and_read_only(self):
+        f = plank_axes(0.7)
+        assert f.matrix() is f.matrix()
+        np.testing.assert_array_equal(f.matrix(), np.stack([f.axis_a, f.axis_b, f.axis_c]))
+        with pytest.raises(ValueError):
+            f.matrix()[0, 0] = 1.0
 
 
 def _random_plank(rng) -> Lightplank:
@@ -489,3 +498,41 @@ class TestRectHelpers:
         assert wrap_angle(math.pi) == pytest.approx(-math.pi)
         assert wrap_angle(-math.pi) == pytest.approx(-math.pi)
         assert wrap_angle(3 * math.pi / 2) == pytest.approx(-math.pi / 2)
+
+
+@st.composite
+def _ranges(draw):
+    """Ragged ranges (lo, hi) with negative bounds, empty and reversed ones, or none."""
+    k = draw(st.integers(0, 12))
+    lo = draw(st.lists(st.integers(-20, 20), min_size=k, max_size=k))
+    hi = [a + draw(st.integers(-3, 9)) for a in lo]
+    return np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64)
+
+
+def _ranges_reference(lo, hi):
+    return [(k, v) for k in range(len(lo)) for v in range(int(lo[k]), int(hi[k]))]
+
+
+class TestRaggedRanges:
+    @given(_ranges())
+    @settings(max_examples=300, deadline=None)
+    def test_expand_matches_list_of_ranges(self, bounds):
+        lo, hi = bounds
+        labels, values = expand_ranges(np.arange(lo.size), lo, hi)
+        assert values.dtype == np.int64
+        assert list(zip(labels.tolist(), values.tolist())) == _ranges_reference(lo, hi)
+
+    @given(_ranges())
+    @settings(max_examples=200, deadline=None)
+    def test_blocks_concatenate_to_the_expansion(self, bounds):
+        lo, hi = bounds
+        labels = np.arange(lo.size) * 3
+        want = expand_ranges(labels, lo, hi)
+        total = want[1].size
+        for block in sorted({1, 2, 7, max(total, 1), total + 1}):
+            pieces = list(range_blocks(labels, lo, hi, block))
+            assert all(0 < p[1].size <= block for p in pieces)
+            assert len(pieces) == -(-total // block)
+            for k in (0, 1):
+                got = np.concatenate([want[k][:0]] + [p[k] for p in pieces])
+                np.testing.assert_array_equal(got, want[k])

@@ -92,6 +92,15 @@ class TestHashedEquivalence:
             got = _unpack_pairs(_direction_sweep(fam.points.astype(float), 0.02, bins), len(fam))
             np.testing.assert_array_equal(got, ref)
 
+    def test_sweep_block_cannot_change_result(self, monkeypatch):
+        # block 1 verifies one candidate pair at a time, so the family is small
+        fam = clustered_unit_family(6, 120)
+        ref = count_ct_delta_hashed(fam, 0.02).pairs
+        assert len(ref) > 300
+        for block in (1, 7, 1000):
+            monkeypatch.setattr(incidence, "_SWEEP_BLOCK", block)
+            np.testing.assert_array_equal(count_ct_delta_hashed(fam, 0.02).pairs, ref)
+
     @pytest.mark.parametrize("delta", [float("inf"), float("nan"), 0.0, -1e-3])
     def test_delta_must_be_finite_and_positive(self, delta):
         fam = random_unit_family(3, 30)

@@ -26,6 +26,7 @@ from tangencylab.geometry import (
     plank_axes,
     plank_comparable,
     plank_contains,
+    range_blocks,
     rotate_plank_z,
     tangency_point,
     tangency_rect,
@@ -36,6 +37,7 @@ from tangencylab import planks as planks_module
 from tangencylab.planks import (
     PlankCollection,
     _assign_points,
+    _comparability_patterns,
     _comparable_gaps,
     _domain_rows,
     _dyadic_floor,
@@ -455,12 +457,27 @@ class TestPatternEnumeration:
         assert self._assert_matches_scan(24, S, K, BOXES[box_name](24)) > 0
 
     def test_domain_blocks_cover_the_union_once(self, monkeypatch):
-        # small blocks make intervals straddle block boundaries
-        monkeypatch.setattr(planks_module, "_PATTERN_BLOCK", 1000)
+        # small blocks make intervals straddle block boundaries; the blocks
+        # are those _comparability_patterns scans, and do not change them
         coll = enumerate_incomparable(64, S=4, K=2.0)
         extents = [s.extents for s in coll.slices]
-        blocks = list(planks_module._domain_blocks(_domain_rows(extents)))
-        assert len(blocks) > 10 and max(len(b) for b in blocks) <= 1000
+        T, hw = len(extents), coll.half_widths
+        step = 2.0 * math.pi / T
+        gaps = _comparable_gaps(step, T, hw, coll.K)
+        want = _comparability_patterns(extents, step, gaps, coll.spacing, hw, coll.K)
+        monkeypatch.setattr(planks_module, "_PATTERN_BLOCK", 1000)
+        got = _comparability_patterns(extents, step, gaps, coll.spacing, hw, coll.K)
+        assert got.keys() == want.keys()
+        for g in want:
+            for p, q in zip(got[g], want[g]):
+                np.testing.assert_array_equal(p.v_keys, q.v_keys)
+                np.testing.assert_array_equal(p.u_keys, q.u_keys)
+        b, c, lo, hi = _domain_rows(extents)
+        blocks = [
+            np.column_stack([a, b[iv], c[iv]])
+            for iv, a in range_blocks(np.arange(b.size), lo, hi + 1, planks_module._PATTERN_BLOCK)
+        ]
+        assert len(blocks) > 10 and max(len(cells) for cells in blocks) <= 1000
         cells = np.vstack(blocks)
         keys = _pack_idx(cells[:, [1, 2, 0]])
         assert np.all(np.diff(keys) > 0)  # row-major order, each cell once
