@@ -34,6 +34,7 @@ from .families import (
 from .geometry import (
     Circle3,
     Lightplank,
+    PlankBatch,
     PlankFrame,
     Rect2,
     annulus_contains_rect,

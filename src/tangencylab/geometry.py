@@ -11,7 +11,8 @@ The module provides the scalar predicates, with the corner containment test
 as the oracle of plank comparability, and the one vectorized containment
 kernel (containment_window, in_window, mutual_containment) that every plank
 comparison in the package is built on; comparability_graph evaluates it on
-the pairs of one plank shape that an angle-gap bound leaves. point_window is
+the pairs of a PlankBatch, planks of one shape held as arrays, that an
+angle-gap bound leaves. point_window is
 the one plank membership rule for points, the same kernel at zero inner
 half-widths. expand_ranges lists ragged index ranges, and range_blocks
 splits that list into memory-bounded pieces, for every sweep and scan of
@@ -21,11 +22,11 @@ the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConcentricError, NotNearTangentError
+from .errors import ConcentricError, InvalidParamsError, NotNearTangentError
 
 SQRT2 = math.sqrt(2.0)
 
@@ -155,22 +156,25 @@ class PlankFrame:
         return self.axes
 
 
-def plank_axes(theta: float) -> PlankFrame:
-    """Build the orthonormal cone frame at angle theta in [-pi, pi).
+def cone_frames(thetas) -> np.ndarray:
+    """Orthonormal cone frames at angles thetas in [-pi, pi), shape (m, 3, 3), read-only.
 
-    axis_a points along the cone ray, axis_b along the tangential direction,
-    axis_c along their cross product. The raw derivative and cross product
-    both have norm 1/sqrt(2), so normalization multiplies them by sqrt(2);
-    the closed forms below bake that in.
+    Rows: axis_a along the cone ray, axis_b tangential, axis_c their cross
+    product, unit length in closed form. math.cos and math.sin per angle give
+    a frame the same bits whichever batch builds it.
     """
-    c, s = math.cos(theta), math.sin(theta)
-    axes = np.array([
-        [c / SQRT2, s / SQRT2, 1.0 / SQRT2],
-        [-s, c, 0.0],
-        [-c / SQRT2, -s / SQRT2, 1.0 / SQRT2],
-    ])
+    t = np.asarray(thetas, dtype=float).ravel().tolist()
+    c, s = np.array([math.cos(x) for x in t]), np.array([math.sin(x) for x in t])
+    one, zero = np.full(len(t), 1.0 / SQRT2), np.zeros(len(t))
+    rows = [c / SQRT2, s / SQRT2, one, -s, c, zero, -c / SQRT2, -s / SQRT2, one]
+    axes = np.stack(rows, axis=-1).reshape(-1, 3, 3)
     axes.flags.writeable = False
-    return PlankFrame(theta=theta, axes=axes)
+    return axes
+
+
+def plank_axes(theta: float) -> PlankFrame:
+    """The cone frame at angle theta in [-pi, pi): cone_frames of one angle."""
+    return PlankFrame(theta=theta, axes=cone_frames([theta])[0])
 
 
 @dataclass(frozen=True)
@@ -194,6 +198,43 @@ class Lightplank:
 
     def half_widths(self) -> np.ndarray:
         return np.array([self.A / 2.0, math.sqrt(self.A * self.B) / 2.0, self.B / 2.0])
+
+
+@dataclass(frozen=True)
+class PlankBatch:
+    """m planks of one shape A x sqrt(A*B) x B, held as arrays.
+
+    Angles thetas (m,), centres (m, 3), and frames mats (m, 3, 3) that
+    cone_frames builds once from the angles. One containment window serves
+    every pair of a batch, so comparability_graph takes one. A and B must be
+    finite and positive.
+    """
+
+    thetas: np.ndarray
+    centers: np.ndarray
+    A: float
+    B: float
+    mats: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        for name, side in (("A", self.A), ("B", self.B)):
+            if not (math.isfinite(side) and side > 0):
+                raise InvalidParamsError(f"{name}: plank sides must be finite and positive")
+        thetas = np.asarray(self.thetas, dtype=float).reshape(-1)
+        object.__setattr__(self, "thetas", thetas)
+        centers = np.asarray(self.centers, dtype=float).reshape(thetas.size, 3)
+        object.__setattr__(self, "centers", centers)
+        object.__setattr__(self, "mats", cone_frames(thetas))
+
+    half_widths = Lightplank.half_widths
+
+    def __len__(self) -> int:
+        return self.thetas.size
+
+    def plank(self, t: int) -> Lightplank:
+        """Plank t as a Lightplank on the batch's frame."""
+        frame = PlankFrame(theta=float(self.thetas[t]), axes=self.mats[t])
+        return Lightplank(frame=frame, v=self.centers[t], A=self.A, B=self.B)
 
 
 def plank_contains(plank: Lightplank, x, K: float = 1.0) -> bool:
@@ -399,8 +440,8 @@ def range_blocks(labels, lo, hi, block: int):
 _PAIR_BLOCK = 1 << 15
 
 
-def comparability_graph(thetas, centers, mats, hw, K: float):
-    """Comparable pairs among planks of half-widths hw, joined by angle gap.
+def comparability_graph(batch: PlankBatch, K: float):
+    """Comparable pairs among the planks of a batch, joined by angle gap.
 
     Planks whose angle gap exceeds comparability_gap_limit cannot be
     comparable, so only pairs within it are evaluated, in range_blocks of
@@ -413,6 +454,7 @@ def comparability_graph(thetas, centers, mats, hw, K: float):
     `earlier` lies in the K-dilation of `later`. A pair is evaluated exactly
     as mutual_containment evaluates it with `later` as the one plank.
     """
+    thetas, centers, mats, hw = batch.thetas, batch.centers, batch.mats, batch.half_widths()
     m = thetas.shape[0]
     lim = comparability_gap_limit(hw, K)
     order = np.argsort(thetas, kind="stable")

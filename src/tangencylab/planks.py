@@ -57,11 +57,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import EmptyFamilyError, InvalidParamsError
+from .errors import ConcentricError, EmptyFamilyError, InvalidParamsError
 from .families import Box, CircleFamily, cube_box, pack_grid_keys, unpack_grid_keys
 from .geometry import (
-    Circle3,
     Lightplank,
+    PlankBatch,
     PlankFrame,
     comparability_graph,
     containment_window,
@@ -170,10 +170,8 @@ class PlankCollection:
         """Kept cells of slice j: (packed keys, grid indices, world centers)."""
         spec = self.slices[j]
         keys, idx, centers = _grid_sat_cells(spec.extents, spec.frame, self.spacing)
-        if spec.rejected.size:
-            keep = ~np.isin(keys, spec.rejected, assume_unique=True)
-            keys, idx, centers = keys[keep], idx[keep], centers[keep]
-        return keys, idx, centers
+        keep = _kept(spec, idx)
+        return keys[keep], idx[keep], centers[keep]
 
     def iter_slices(self):
         for j in range(len(self.slices)):
@@ -595,40 +593,15 @@ def _slice_pair_coords(inner, inner_frame: PlankFrame, outer_frame: PlankFrame, 
 def verify_pairwise_incomparable(coll: PlankCollection) -> int:
     """Count comparable unordered pairs in the collection (0 when valid).
 
-    Exhaustive over all plank pairs, organized by slice pair so the
-    containment window is computed once per frame pair; it serves both
-    directions. Used by the exhaustive acceptance check at small R.
+    They are the edges of comparability_graph over all its planks, which
+    share one shape. Used by the exhaustive acceptance check at small R.
     """
-    thetas, mats, cents = [], [], []
-    for j, spec, keys, centers in coll.iter_slices():
-        thetas.append(spec.theta)
-        mats.append(spec.frame.matrix())
-        cents.append(centers)
-    hw, K = coll.half_widths, coll.K
-    bad = 0
-    for a in range(len(cents)):
-        for b in range(a, len(cents)):
-            ca, cb = cents[a], cents[b]
-            if ca.shape[0] == 0 or cb.shape[0] == 0:
-                continue
-            window = containment_window(thetas[b] - thetas[a], hw, K)
-            if np.any(window < 0):
-                continue
-            proj_b_in_a = cb @ mats[a].T
-            proj_a_in_a = ca @ mats[a].T
-            proj_b_in_b = cb @ mats[b].T
-            proj_a_in_b = ca @ mats[b].T
-            for start in range(0, cb.shape[0], 512):
-                sl = slice(start, start + 512)
-                in_a = in_window(proj_a_in_a[:, None, :] - proj_b_in_a[None, sl, :], window)
-                in_b = in_window(proj_a_in_b[:, None, :] - proj_b_in_b[None, sl, :], window)
-                comparable = in_a | in_b
-                if a == b:
-                    rows = np.arange(ca.shape[0])[:, None]
-                    cols = start + np.arange(comparable.shape[1])[None, :]
-                    comparable &= rows < cols  # unordered pairs once
-                bad += int(comparable.sum())
-    return bad
+    thetas, centers = [np.zeros(0)], [np.zeros((0, 3))]
+    for j, spec, keys, cells in coll.iter_slices():
+        thetas.append(np.full(cells.shape[0], spec.theta))
+        centers.append(cells)
+    batch = PlankBatch(np.concatenate(thetas), np.concatenate(centers), coll.A, coll.B)
+    return int(comparability_graph(batch, coll.K)[0].size)
 
 
 # ---------------------------------------------------------------------------
@@ -730,44 +703,43 @@ def mu_buckets(coll: PlankCollection, family: CircleFamily, K: float = 1.0) -> R
 # ---------------------------------------------------------------------------
 
 
-def pair_plank(x: Circle3, y: Circle3, delta: float, length: float) -> Lightplank:
-    """The thin plank carrying a near-tangent pair.
+def pair_planks(points: np.ndarray, pairs: np.ndarray, delta: float, length: float) -> PlankBatch:
+    """The thin planks carrying near-tangent pairs, one per row (i, j) of pairs.
 
-    A tangent pair separates along a light ray, which is the long axis of
-    the cone frame at the angle opposite the planar direction from the
-    smaller toward the larger circle. The plank is delta thick, `length`
-    long, centered at the pair midpoint, so for pair distances below
-    `length` both endpoints lie inside it.
+    A tangent pair separates along a light ray, the long axis of the cone
+    frame at the angle opposite the planar direction from the smaller toward
+    the larger circle (radius ties as in tangency_point, compared in the
+    points' own dtype). Each plank is delta thick and `length` long at the
+    pair midpoint, so it holds both ends of a pair closer than `length`.
+    Raises ConcentricError for a concentric pair.
     """
-    p, q = x.as_point(), y.as_point()
-    if x.radius > y.radius or (x.radius == y.radius and tuple(x.center) <= tuple(y.center)):
-        big, small = p, q
-    else:
-        big, small = q, p
-    w = big[:2] - small[:2]
-    norm = float(np.hypot(w[0], w[1]))
-    if norm == 0.0:
-        raise ValueError("concentric pair has no carrying plank")
-    theta = wrap_angle(math.atan2(w[1], w[0]) + math.pi)
-    return Lightplank(frame=plank_axes(theta), v=(p + q) / 2.0, A=delta, B=length)
+    x, y = np.moveaxis(np.asarray(points)[np.asarray(pairs, dtype=np.int64).reshape(-1, 2)], 1, 0)
+    lex = (x[:, 0] < y[:, 0]) | ((x[:, 0] == y[:, 0]) & (x[:, 1] <= y[:, 1]))
+    x_big = (x[:, 2] > y[:, 2]) | ((x[:, 2] == y[:, 2]) & lex)
+    p, q = x.astype(float), y.astype(float)
+    w = np.where(x_big[:, None], p - q, q - p)[:, :2]
+    if np.any(np.all(w == 0.0, axis=1)):
+        raise ConcentricError("concentric pair has no carrying plank")
+    thetas = [wrap_angle(math.atan2(w1, w0) + math.pi) for w0, w1 in w.tolist()]
+    return PlankBatch(thetas, (p + q) / 2.0, delta, length)
 
 
-def rect_plank(
+def rect_planks(
     z_star: np.ndarray, u: np.ndarray, delta: float, radius_lo: float, radius_hi: float
-) -> Lightplank:
-    """The lifted plank of circles whose annulus can contain a rectangle.
+) -> PlankBatch:
+    """The lifted planks of circles whose annulus can contain a rectangle.
 
-    Circles tangent at z_star with radial direction u have centers on the
-    ray z_star - r u, so their encodings fill a segment along the cone
-    direction at the angle of -u. The plank spans the family's radius range
-    along that direction and is delta long transversally.
+    z_star and u (m, 2) are stacked tangency_point outputs. Circles tangent
+    at z_star with radial direction u have centers on the ray z_star - r u,
+    a segment along the cone direction at the angle of -u. Each plank spans
+    the radius range along it and is delta across: A > B here.
     """
-    theta = wrap_angle(math.atan2(-u[1], -u[0]))
+    z_star, u = np.reshape(z_star, (-1, 2)), np.reshape(u, (-1, 2))
+    thetas = [wrap_angle(math.atan2(-u1, -u0)) for u0, u1 in u.tolist()]
     r_mid = (radius_lo + radius_hi) / 2.0
     span = max(radius_hi - radius_lo, delta)
-    v = np.array([z_star[0] - r_mid * u[0], z_star[1] - r_mid * u[1], r_mid])
-    # A > B here: long along the light ray, delta across
-    return Lightplank(frame=plank_axes(theta), v=v, A=math.sqrt(2.0) * span, B=delta)
+    centers = np.column_stack([z_star - r_mid * u, np.full(len(thetas), r_mid)])
+    return PlankBatch(thetas, centers, math.sqrt(2.0) * span, delta)
 
 
 @dataclass
@@ -822,7 +794,7 @@ def bilinear_rich(
     both = CircleFamily(pts, scale, 0.0, tuple(zip(lo.tolist(), hi.tolist())), {})
     pairs = count_ct_delta_hashed(both, delta).pairs
     cross = pairs[(pairs[:, 0] < nb) & (pairs[:, 1] >= nb)]
-    rects, planks = [], []
+    rects, touch = [], []
     for i, j in cross.tolist():
         ci = B_fam.circle(i)
         cj = W_fam.circle(j - nb)
@@ -832,14 +804,12 @@ def bilinear_rich(
         if len(lift_rect(rect, B_fam, delta)) < mu or len(lift_rect(rect, W_fam, delta)) < nu:
             continue
         rects.append(rect)
-        planks.append(rect_plank(*tangency_point(ci, cj), delta, float(lo[2]), float(hi[2])))
+        touch.append(tangency_point(ci, cj))
 
-    m = len(planks)
-    hw = planks[0].half_widths() if planks else np.zeros(3)
-    earlier, later, _, _ = comparability_graph(
-        np.array([P.frame.theta for P in planks]), np.array([P.v for P in planks]).reshape(m, 3),
-        np.array([P.frame.matrix() for P in planks]).reshape(m, 3, 3), hw, K,
-    )
+    m = len(rects)
+    touch = np.reshape(touch, (m, 2, 2))  # (z_star, u) per candidate
+    batch = rect_planks(touch[:, 0], touch[:, 1], delta, float(lo[2]), float(hi[2]))
+    earlier, later, _, _ = comparability_graph(batch, K)
     edge_start = np.searchsorted(later, np.arange(m + 1))
     kept = np.zeros(m, dtype=bool)
     for t in range(m):

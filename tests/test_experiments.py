@@ -25,6 +25,7 @@ from tangencylab.families import (
 )
 from tangencylab.geometry import (
     Lightplank,
+    PlankBatch,
     comparability_gap_limit,
     comparability_graph,
     containment_window,
@@ -39,6 +40,7 @@ from tangencylab.incidence import bin_dyadic, count_ct_delta_hashed
 from tangencylab.planks import (
     _unpack_idx,
     enumerate_incomparable,
+    pair_planks,
     richness,
     slice_counts,
     slice_incidences,
@@ -240,26 +242,20 @@ def _oracle_plank_sum_greedy(planks, ends, A):
     return kept, witness, coverage_ok, violations
 
 
-def _brute_graph(planks, hw, K):
+def _brute_graph(batch, K):
     """Comparable pairs (earlier, later, inside, holds) by an all-pairs kernel scan."""
     out = []
-    for b, P in enumerate(planks[1:], start=1):
+    for b in range(1, len(batch)):
         inside, holds = mutual_containment(
-            P.frame.theta, P.v, P.frame.matrix(),
-            np.array([Q.frame.theta for Q in planks[:b]]), np.array([Q.v for Q in planks[:b]]),
-            np.array([Q.frame.matrix() for Q in planks[:b]]), hw, K,
+            batch.thetas[b], batch.centers[b], batch.mats[b],
+            batch.thetas[:b], batch.centers[:b], batch.mats[:b], batch.half_widths(), K,
         )
         out += [(a, b, bool(i), bool(h)) for a, (i, h) in enumerate(zip(inside, holds)) if i or h]
     return out
 
 
-def _graph_of(planks, hw, K):
-    m = len(planks)
-    graph = comparability_graph(
-        np.array([P.frame.theta for P in planks]), np.array([P.v for P in planks]).reshape(m, 3),
-        np.array([P.frame.matrix() for P in planks]).reshape(m, 3, 3), hw, K,
-    )
-    return [tuple(col.tolist()) for col in graph]
+def _graph_of(batch, K):
+    return [tuple(col.tolist()) for col in comparability_graph(batch, K)]
 
 
 def _as_angle(t):
@@ -313,39 +309,41 @@ def _greedy_cases(draw):
         offsets = np.where(on_face, window, rng.uniform(0.0, 1.0, (m, 3)) * np.abs(window))
         centers = v0 + (offsets * rng.choice([-1.0, 1.0], (m, 3))) @ U
         centers[0] = v0
-    planks = [Lightplank(plank_axes(float(t)), c, *sides) for t, c in zip(thetas, centers)]
+    batch = PlankBatch(thetas, centers, *sides)
     point_window = containment_window(0.0, hw, A, inner_hw=np.zeros(3))
     reach = draw(st.sampled_from([0.5, 1.0, 1.3]))  # 1.0 puts endpoints on the faces
     ends = np.array([
-        P.v + (rng.choice([-1.0, 1.0], (2, 3)) * point_window
-               * (reach if reach == 1.0 else rng.uniform(0.0, reach, (2, 3)))) @ P.frame.matrix()
-        for P in planks
+        v + (rng.choice([-1.0, 1.0], (2, 3)) * point_window
+             * (reach if reach == 1.0 else rng.uniform(0.0, reach, (2, 3)))) @ U
+        for v, U in zip(batch.centers, batch.mats)
     ]).reshape(m, 2, 3)
-    return planks, ends, hw, A
+    return batch, ends, A
+
+
+def _planks_of(batch):
+    return [batch.plank(t) for t in range(len(batch))]
 
 
 class TestPlankSumGreedy:
     @given(_greedy_cases())
     @settings(max_examples=300, deadline=None)
     def test_matches_all_kept_scan(self, case):
-        planks, ends, hw, A = case
-        assert list(zip(*_graph_of(planks, hw, A))) == _brute_graph(planks, hw, A)
-        kept, witness, coverage_ok, violations = ex._plank_sum_greedy(planks, ends, A)
-        want = _oracle_plank_sum_greedy(planks, ends, A)
+        batch, ends, A = case
+        assert list(zip(*_graph_of(batch, A))) == _brute_graph(batch, A)
+        kept, witness, coverage_ok, violations = ex._plank_sum_greedy(batch, ends, A)
+        want = _oracle_plank_sum_greedy(_planks_of(batch), ends, A)
         assert (kept.tolist(), witness.tolist(), coverage_ok, violations) == want
 
     def test_blocks_do_not_change_the_graph(self, monkeypatch):
         rng = np.random.default_rng(5)
-        hw = Lightplank(plank_axes(0.0), np.zeros(3), 0.02, 0.2).half_widths()
-        planks = [
-            Lightplank(plank_axes(t), c, 0.02, 0.2)
-            for t, c in zip(rng.uniform(-math.pi, math.pi, 200), rng.uniform(-0.1, 0.1, (200, 3)))
-        ]
-        want = _graph_of(planks, hw, 2.0)
+        batch = PlankBatch(
+            rng.uniform(-math.pi, math.pi, 200), rng.uniform(-0.1, 0.1, (200, 3)), 0.02, 0.2
+        )
+        want = _graph_of(batch, 2.0)
         assert len(want[0]) > 10
         for block in (1, 2, 7, 1000):
             monkeypatch.setattr(geometry, "_PAIR_BLOCK", block)
-            assert _graph_of(planks, hw, 2.0) == want
+            assert _graph_of(batch, 2.0) == want
 
     @pytest.mark.parametrize("fam", [
         random_unit_family(11, 300), clustered_unit_family(12, 160), gen_clamshell(40),
@@ -354,22 +352,22 @@ class TestPlankSumGreedy:
         binned = bin_dyadic(count_ct_delta_hashed(fam, 0.02), fam)
         sizes = []
         for D, bucket in binned.by_distance.items():
-            planks = [ex.pair_plank(fam.circle(i), fam.circle(j), 0.02, length=2.0 * D)
-                      for i, j in bucket]
+            batch = pair_planks(fam.points, bucket, 0.02, length=2.0 * D)
             ends = fam.points.astype(float)[bucket]
-            kept, witness, coverage_ok, violations = ex._plank_sum_greedy(planks, ends, 2.0)
+            assert list(zip(*_graph_of(batch, 2.0))) == _brute_graph(batch, 2.0)
+            kept, witness, coverage_ok, violations = ex._plank_sum_greedy(batch, ends, 2.0)
             assert (kept.tolist(), witness.tolist(), coverage_ok, violations) == \
-                _oracle_plank_sum_greedy(planks, ends, 2.0)
-            sizes.append(len(planks))
+                _oracle_plank_sum_greedy(_planks_of(batch), ends, 2.0)
+            sizes.append(len(batch))
         assert max(sizes) > 30
 
     def test_empty_bucket(self):
         fam = random_unit_family(1, 10)
-        kept, coverage_ok, violations = ex._lemma28_extract(
+        batch, kept, coverage_ok, violations = ex._lemma28_extract(
             fam, np.empty((0, 2), dtype=np.int64), 0.02, 0.5, 2.0
         )
-        assert kept == [] and coverage_ok and violations == 0
-        assert ex._plank_sum_greedy([], np.empty((0, 2, 3)), 2.0)[1].size == 0
+        assert len(batch) == 0 and kept.size == 0 and coverage_ok and violations == 0
+        assert ex._plank_sum_greedy(batch, np.empty((0, 2, 3)), 2.0)[1].size == 0
 
 
 class TestSharpness:

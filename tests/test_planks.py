@@ -7,7 +7,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import clustered_unit_family, random_unit_family
-from tangencylab.errors import EmptyFamilyError, InvalidParamsError
+from tangencylab.errors import (
+    ConcentricError,
+    EmptyFamilyError,
+    InvalidParamsError,
+    TangencyLabError,
+)
 from tangencylab.families import (
     CircleFamily,
     annular_box,
@@ -18,7 +23,9 @@ from tangencylab.families import (
     unit_box,
 )
 from tangencylab.geometry import (
+    Circle3,
     Lightplank,
+    PlankBatch,
     containment_slack,
     containment_window,
     in_window,
@@ -32,7 +39,12 @@ from tangencylab.geometry import (
     tangency_rect,
     wrap_angle,
 )
-from tangencylab.incidence import count_ct_delta_bruteforce, lift_rect
+from tangencylab.incidence import (
+    bin_dyadic,
+    count_ct_delta_bruteforce,
+    count_ct_delta_hashed,
+    lift_rect,
+)
 from tangencylab import planks as planks_module
 from tangencylab.planks import (
     PlankCollection,
@@ -55,8 +67,8 @@ from tangencylab.planks import (
     bilinear_rich,
     enumerate_incomparable,
     mu_buckets,
-    pair_plank,
-    rect_plank,
+    pair_planks,
+    rect_planks,
     richness,
     slice_counts,
     verify_pairwise_incomparable,
@@ -771,17 +783,167 @@ class TestPairPlank:
             if ci.center == cj.center:
                 continue
             d = float(np.linalg.norm(pts[i] - pts[j]))
-            P = pair_plank(ci, cj, 0.01, length=2.5 * d)
+            P = pair_planks(pts, [[i, j]], 0.01, length=2.5 * d).plank(0)
             rel = np.abs((pts[[i, j]] - P.v) @ P.frame.matrix().T)
             assert np.all(rel <= P.half_widths() + 1e-9)
             checked += 1
         assert checked > 20
 
     def test_concentric_rejected(self):
-        from tangencylab.geometry import Circle3
+        with pytest.raises(ConcentricError):
+            pair_planks(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.2]]), [[0, 1]], 0.01, 1.0)
 
-        with pytest.raises(ValueError):
-            pair_plank(Circle3((0.0, 0.0), 1.0), Circle3((0.0, 0.0), 1.2), 0.01, 1.0)
+
+def _ref_pair_plank(x: Circle3, y: Circle3, delta: float, length: float) -> Lightplank:
+    """Scalar reference for pair_planks: one pair through Circle3 objects."""
+    p, q = x.as_point(), y.as_point()
+    if x.radius > y.radius or (x.radius == y.radius and tuple(x.center) <= tuple(y.center)):
+        big, small = p, q
+    else:
+        big, small = q, p
+    w = big[:2] - small[:2]
+    theta = wrap_angle(math.atan2(w[1], w[0]) + math.pi)
+    return Lightplank(frame=plank_axes(theta), v=(p + q) / 2.0, A=delta, B=length)
+
+
+def _ref_rect_plank(z_star, u, delta: float, radius_lo: float, radius_hi: float) -> Lightplank:
+    """Scalar reference for rect_planks: one tangency point and radial direction."""
+    theta = wrap_angle(math.atan2(-u[1], -u[0]))
+    r_mid = (radius_lo + radius_hi) / 2.0
+    span = max(radius_hi - radius_lo, delta)
+    v = np.array([z_star[0] - r_mid * u[0], z_star[1] - r_mid * u[1], r_mid])
+    return Lightplank(frame=plank_axes(theta), v=v, A=math.sqrt(2.0) * span, B=delta)
+
+
+def _assert_same_bits(batch: PlankBatch, refs: list) -> None:
+    """Angles, centres and frames of the batch equal those of the reference planks bit for bit."""
+    assert len(batch) == len(refs)
+    bits = [
+        (np.array([P.frame.theta for P in refs]), batch.thetas),
+        (np.array([P.v for P in refs]).reshape(-1, 3), batch.centers),
+        (np.array([P.frame.matrix() for P in refs]).reshape(-1, 3, 3), batch.mats),
+    ]
+    for want, got in bits:
+        assert want.shape == got.shape and want.tobytes() == got.tobytes()
+    assert all((batch.A, batch.B) == (P.A, P.B) for P in refs)
+
+
+def _family_pairs(points) -> np.ndarray:
+    """Every ordered pair (i, j), i != j, of the points whose centres differ."""
+    pts = np.asarray(points)
+    i, j = np.nonzero(~np.eye(len(pts), dtype=bool))
+    keep = np.any(pts[i, :2] != pts[j, :2], axis=1)
+    return np.column_stack([i[keep], j[keep]])
+
+
+def _check_pair_planks(points, pairs, delta=0.01, length=0.5):
+    fam = _family(points, "pairs")
+    refs = [_ref_pair_plank(fam.circle(i), fam.circle(j), delta, length) for i, j in pairs.tolist()]
+    _assert_same_bits(pair_planks(fam.points, pairs, delta, length), refs)
+
+
+# Signed zeros on both axes: centres on the x and y axes, and at the origin.
+_AXIS_CENTRES = [(a, b) for a in (0.0, -0.0, 1.0, -1.0) for b in (0.0, -0.0)] + [
+    (a, b) for a in (0.0, -0.0) for b in (1.0, -1.0)
+]
+
+
+class TestBatchConstructors:
+    """pair_planks and rect_planks against the scalar references, bit for bit."""
+
+    def test_radius_ties_by_lexicographic_centre(self):
+        # equal radii throughout: only the centre order decides which end is big
+        centres = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (0.0, -1.0), (-1.0, 0.5)]
+        _check_pair_planks(np.array([(x, y, 1.5) for x, y in centres]), _family_pairs(centres))
+        ints = np.array([(x, y, 3) for x in (-1, 0, 2) for y in (-2, 0, 1)], dtype=np.int64)
+        _check_pair_planks(ints, _family_pairs(ints))
+
+    def test_axis_pairs_with_signed_zeros(self):
+        pts = np.array([(x, y, r) for x, y in _AXIS_CENTRES for r in (1.0, 2.0)])
+        pairs = _family_pairs(pts)
+        assert len(pairs) > 200
+        _check_pair_planks(pts, pairs)
+
+    def test_angles_at_the_seam(self):
+        # planar directions within a few ulps of the negative and positive x axis,
+        # where atan2 + pi and the wrap into [-pi, pi) meet
+        tiny = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e-17, -1e-17]
+        pts = [(0.0, 0.0, 2.0)]
+        pts += [(s * x, y, r) for s in (1.0, -1.0) for x in (1.0, math.nextafter(1.0, 2.0))
+                for y in tiny for r in (1.0, 3.0)]
+        pts = np.array(pts)
+        pairs = _family_pairs(pts)
+        _check_pair_planks(pts, pairs)
+        thetas = pair_planks(pts, pairs, 0.01, 0.5).thetas
+        assert np.all((thetas >= -math.pi) & (thetas < math.pi))
+        assert np.any(thetas == -math.pi)
+
+    def test_criterion_6_buckets(self):
+        # the fifty families of acceptance criterion 6, every dyadic bucket
+        checked = 0
+        for seed in range(50):
+            rng = np.random.default_rng(1000 + seed)
+            n = int(rng.integers(200, 1001))
+            pts = np.column_stack(
+                [rng.uniform(-1, 1, n), rng.uniform(-1, 1, n), rng.uniform(1, 2, n)]
+            )
+            fam = _family(pts, "criterion6")
+            binned = bin_dyadic(count_ct_delta_hashed(fam, 0.02), fam)
+            for D, bucket in binned.by_distance.items():
+                refs = [_ref_pair_plank(fam.circle(i), fam.circle(j), 0.02, 2.0 * D)
+                        for i, j in bucket.tolist()]
+                _assert_same_bits(pair_planks(fam.points, bucket, 0.02, 2.0 * D), refs)
+                checked += len(refs)
+        assert checked > 10_000
+
+    def test_rect_planks_match_per_point_reference(self):
+        rng = np.random.default_rng(8)
+        axis = [(a, b) for a, b in _AXIS_CENTRES if abs(a) + abs(b) > 0]
+        seam = [(1.0, t) for t in (0.0, -0.0, 5e-324, -5e-324)]
+        seam += [(-1.0, t) for t in (0.0, -0.0, 5e-324, -5e-324)]
+        angles = rng.uniform(-math.pi, math.pi, 200)
+        u = np.array(axis + seam + list(zip(np.cos(angles), np.sin(angles))))
+        z_star = rng.uniform(-1.0, 1.0, u.shape)
+        for lo, hi, delta in ((1.0, 2.0, 0.01), (1.5, 1.5, 0.02), (1.0, 1.001, 0.05)):
+            refs = [_ref_rect_plank(z, d, delta, lo, hi) for z, d in zip(z_star, u)]
+            _assert_same_bits(rect_planks(z_star, u, delta, lo, hi), refs)
+
+    def test_rect_planks_from_tangency_points(self):
+        B, W = _CLUSTERED_80
+        pairs = count_ct_delta_bruteforce(_family(np.vstack([B.points, W.points]), "both"), 0.02)
+        cross = [(i, j - 80) for i, j in pairs.pairs.tolist() if i < 80 <= j]
+        touch = [tangency_point(B.circle(i), W.circle(j)) for i, j in cross]
+        assert len(touch) > 50
+        z_star, u = np.array([t[0] for t in touch]), np.array([t[1] for t in touch])
+        refs = [_ref_rect_plank(z, d, 0.02, 1.0, 2.0) for z, d in touch]
+        _assert_same_bits(rect_planks(z_star, u, 0.02, 1.0, 2.0), refs)
+
+    def test_empty_batches(self):
+        assert len(pair_planks(np.zeros((3, 3)), np.empty((0, 2), dtype=np.int64), 0.1, 1.0)) == 0
+        batch = rect_planks([], [], 0.1, 1.0, 2.0)
+        assert batch.centers.shape == (0, 3) and batch.mats.shape == (0, 3, 3)
+
+
+class TestBatchRefusals:
+    def test_concentric_pair(self):
+        pts = np.array([[0.5, -0.5, 1.0], [0.5, -0.5, 1.3], [0.0, 0.0, 1.0]])
+        with pytest.raises(TangencyLabError) as err:
+            pair_planks(pts, [[0, 2], [1, 0]], 0.01, 1.0)
+        assert isinstance(err.value, ConcentricError)
+
+    @pytest.mark.parametrize("side", [0.0, -1.0, math.inf, -math.inf, math.nan])
+    def test_sides_must_be_finite_and_positive(self, side):
+        pts = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 2.0]])
+        for make in (
+            lambda: PlankBatch([0.0], [[0.0, 0.0, 1.0]], side, 1.0),
+            lambda: PlankBatch([0.0], [[0.0, 0.0, 1.0]], 1.0, side),
+            lambda: pair_planks(pts, [[0, 1]], side, 1.0),
+            lambda: pair_planks(pts, [[0, 1]], 0.01, side),
+            lambda: rect_planks([[0.0, 1.0]], [[0.0, 1.0]], side, 1.0, 2.0),
+        ):
+            with pytest.raises(TangencyLabError) as err:
+                make()
+            assert isinstance(err.value, InvalidParamsError)
 
 
 class TestBilinear:
@@ -850,7 +1012,7 @@ def _row_scan_bilinear(B_fam, W_fam, delta, mu, nu, K=2.0):
             rect = tangency_rect(ci, cj, delta)
             if len(lift_rect(rect, B_fam, delta)) < mu or len(lift_rect(rect, W_fam, delta)) < nu:
                 continue
-            cand = rect_plank(*tangency_point(ci, cj), delta, float(lo3), float(hi3))
+            cand = _ref_rect_plank(*tangency_point(ci, cj), delta, float(lo3), float(hi3))
             if kept and _kernel_comparable_any(cand, kept, K):
                 continue
             kept.append(cand)
