@@ -187,6 +187,17 @@ def _parse_values(sec: configparser.SectionProxy, key: str, default: str | None 
     return vals
 
 
+def _scalar(sec: configparser.SectionProxy, key: str, convert=float):
+    """The required scalar under `key`; InvalidParamsError names a missing or malformed one."""
+    raw = sec.get(key, "")
+    if not raw.strip():
+        raise InvalidParamsError(f"{key}: required value is missing")
+    try:
+        return convert(raw)
+    except ValueError:
+        raise InvalidParamsError(f"{key}: malformed value '{raw}'") from None
+
+
 def _run_section(name: str, sec: configparser.SectionProxy, workers: int) -> ex.ExperimentReport:
     kind = sec.get("experiment", name.split(".")[0])
     if kind == "rectangle_bound":
@@ -208,15 +219,15 @@ def _run_section(name: str, sec: configparser.SectionProxy, workers: int) -> ex.
     if kind == "exact_ct":
         return ex.run_exact_ct([int(v) for v in _parse_values(sec, "n")])
     if kind == "lemma28":
-        fam = load_family(sec.get("family"))
-        return ex.run_lemma28_check(fam, sec.getfloat("delta"), A=sec.getfloat("A", 2.0))
+        fam = load_family(_scalar(sec, "family", str))
+        return ex.run_lemma28_check(fam, _scalar(sec, "delta"), A=sec.getfloat("A", 2.0))
     if kind == "sharpness":
         seeds = [int(v) for v in _parse_values(sec, "seeds", "0:19")]
         if os.environ.get("TANGENCY_SEED"):
             # as many consecutive seeds as the config lists, from the override
             seeds = [_env_seed(0) + k for k in range(len(seeds))]
         return ex.run_sharpness(
-            R=sec.getfloat("R"), rho=sec.getfloat("rho"), eps=sec.getfloat("eps"),
+            R=_scalar(sec, "R"), rho=_scalar(sec, "rho"), eps=_scalar(sec, "eps"),
             seeds=seeds, K=sec.getfloat("K", 2.0),
         )
     if kind == "chernoff":

@@ -294,30 +294,31 @@ def _ct_job(args) -> dict:
 def light_ray_degeneracy(family: CircleFamily, pairs) -> int:
     """Number of light rays carrying >= 3 points of an integer family.
 
-    All points on a common light ray are mutually tangent, so the ray shows
-    up among the tangent pairs; a ray with k points contributes k(k-1)/2 of
-    them. The ray identity is exact: reduced integer direction plus the
-    cross product of a base point with it.
+    pairs must be every tangent pair of the family, as count_ct0_exact
+    gives them: all points on a common light ray are mutually tangent, so a
+    ray with k points contributes its k(k-1)/2 pairs. Each pair is oriented
+    so that dz > 0 and reduced to its primitive direction; the pairs of one
+    (lower point, direction) group join that point to every point above it
+    on its ray. So a ray of k >= 3 points has exactly one group of exactly
+    two pairs, at its (k-2)-th point from the bottom, and a 2-point ray has
+    none: the count of such groups is the count of rays. Everything stays
+    in int64: differences of tangent pairs fit, since count_ct0_exact
+    refuses spans that do not.
     """
-    if len(pairs) == 0:
-        return 0
+    if not family.is_integer:
+        raise InvalidParamsError("family: light rays are counted on integer-exact families only")
     pts = family.points.astype(np.int64)
-    i = pairs.pairs[:, 0]
-    j = pairs.pairs[:, 1]
+    i, j = pairs.pairs[:, 0], pairs.pairs[:, 1]
     d = pts[j] - pts[i]
-    g = np.gcd(np.gcd(np.abs(d[:, 0]), np.abs(d[:, 1])), np.abs(d[:, 2]))
-    g = np.maximum(g, 1)
-    d = d // g[:, None]
-    # canonical sign: first nonzero coordinate positive
-    sign = np.where(d[:, 0] != 0, np.sign(d[:, 0]),
-                    np.where(d[:, 1] != 0, np.sign(d[:, 1]), np.sign(d[:, 2])))
-    d = d * sign[:, None]
-    moment = np.cross(pts[i], d)
-    ray_id = np.column_stack([d, moment])
-    # group equal ids by sorting on all six columns, then measure the runs
-    ray_id = ray_id[np.lexsort(ray_id.T)]
-    starts = np.flatnonzero(np.r_[True, np.any(ray_id[1:] != ray_id[:-1], axis=1), True])
-    return int(np.sum(np.diff(starts) >= 3))
+    up = d[:, 2] > 0
+    lower = np.where(up, i, j)
+    d[~up] *= -1
+    d //= np.gcd.reduce(d, axis=1)[:, None]
+    # group equal (lower point, direction) by one sort, then measure the runs
+    key = np.column_stack([lower, d])
+    key = key[np.lexsort(key.T)]
+    starts = np.flatnonzero(np.r_[True, np.any(key[1:] != key[:-1], axis=1), True])
+    return int(np.sum(np.diff(starts) == 2))
 
 
 def run_exact_ct(n_values) -> ExperimentReport:

@@ -97,6 +97,8 @@ class CircleFamily:
             raise ValueError("points must have shape (n, 3)")
         if self.points.dtype.kind == "f" and not np.isfinite(self.points).all():
             raise InvalidParamsError("points: NaN and inf coordinates are rejected")
+        if self.points.dtype.kind == "u" and self.points.size and self.points.max() > np.iinfo(np.int64).max:
+            raise InvalidParamsError("points: integer coordinates must fit in int64")
 
     def __len__(self) -> int:
         return self.points.shape[0]

@@ -17,9 +17,11 @@ from .errors import InvalidParamsError
 from .families import CircleFamily
 from .geometry import ANNULUS_THICKNESS_FACTOR, Rect2, expand_ranges, range_blocks, rect_axes, rect_corners
 
-# The vectorized exact-tangency paths stay in int64; coordinate spans above
-# this bound switch to Python integers, which cannot overflow.
-_INT64_SAFE_COORD = 2**24
+# The int64 test dx^2 + dy^2 == dz^2 of the pair walk is exact when no term
+# wraps: each |d| is at most the span s, so the left side is at most 2 s^2,
+# which stays below 2^63 up to s = 2^31 - 1 (2 (2^31 - 1)^2 = 2^63 - 2^33 + 2)
+# and reaches it at s = 2^31. Above this span every int64 hit is re-checked.
+_INT64_EXACT_SPAN = 2**31 - 1
 
 # Coincident points would be tangent with a zero distance, which has no
 # dyadic bucket; they can only come from duplicate circles.
@@ -92,8 +94,8 @@ def _unpack_pairs(packed: np.ndarray, n: int) -> np.ndarray:
 # delta-approximate counting
 # ---------------------------------------------------------------------------
 
-# Candidate pairs verified at a time by the direction-bin sweep; bounds its
-# transient memory near 20 MB.
+# Candidate pairs verified at a time by the direction-bin sweep and by the
+# exact pair walk; bounds their transient memory near 20 MB.
 _SWEEP_BLOCK = 1 << 18
 
 # Cost model of the sweep, in seconds (2 vCPUs, BLAS on one thread): per
@@ -290,27 +292,30 @@ def count_ct0_exact(family: CircleFamily, with_bins: bool = True) -> TangencyPai
     Tangency is decided by the integer identity dx^2 + dy^2 == dz^2, so a
     tangent pair differs by a vector of the integer light cone. Orient each
     pair so that dz > 0 (dz = 0 would force the points to coincide, which is
-    refused). Three exact paths give the same pairs and buckets:
+    refused). Two exact paths give the same pairs and buckets:
 
     - the Pythagorean stencil (_ct0_stencil) looks each point p up at p + d
       for every cone vector d with 1 <= dz <= Z, where Z is the height span:
       about Z^2 to build the stencil and n |S_Z| log n to look up; |S_Z|
       grows like Z log Z (128 cone vectors at Z = 20, 11,344 at Z = 1024);
-    - the all-pairs scan (_ct0_vectorized), n^2 / 2 integer tests;
-    - Python integers (_ct0_python), for coordinate spans above
-      _INT64_SAFE_COORD.
+    - the pair walk (_ct0_walk), n (n - 1) / 2 int64 tests, each hit
+      re-checked in Python integers when a span passes _INT64_EXACT_SPAN.
 
     Points are first taken relative to their per-axis minimum, so a
     translated family takes the same path as the original; a span that
     does not fit in int64 is refused.
 
     Dispatch: the stencil runs when 2 Z (4 + bit_length(Z)) <= n and its
-    packed keys fit in int64; otherwise the all-pairs scan runs. Z (4 +
-    log2 Z) bounds |S_Z| from above (checked up to Z = 4096), and a lookup
-    costs about twice an entry of the n^2 scan (33 ns against 15 ns on
-    2 vCPUs), so the rule picks the stencil only where it does no more work.
-    The integer lattice of side n (Z = n, (n+1)^3 points) takes the
-    stencil; the integer clamshell (n = 100, Z = 99) takes the scan.
+    packed keys fit in int64; the walk runs in every other case. Z (4 +
+    log2 Z) bounds |S_Z| from above (checked up to Z = 4096), so the rule
+    picks the stencil only where it looks up at most n^2 / 2 keys, and a
+    lookup costs about as much as a pair test of the walk (33 ns against
+    26 ns on 2 vCPUs). The integer lattice of side n (Z = n, (n+1)^3
+    points) takes the stencil; the integer clamshell (n = 100, Z = 99)
+    takes the walk.
+
+    The pairs are every tangent pair of the family, sorted, which
+    experiments.light_ray_degeneracy relies on to count light rays.
 
     by_distance gets the dyadic buckets of the pair distance, |d|^2 = 2 dz^2,
     when requested.
@@ -329,13 +334,10 @@ def count_ct0_exact(family: CircleFamily, with_bins: bool = True) -> TangencyPai
     if max(int(v) - lo for v, lo in zip(pts.max(axis=0), low)) >= 2**63:
         raise InvalidParamsError("points: a coordinate span does not fit in int64")
     pts = pts - np.array(low, dtype=np.int64)  # exact: each result fits
-    if pts.max() > _INT64_SAFE_COORD:
-        found = _ct0_python(pts)
-    else:
-        Z = int(pts[:, 2].max())
-        found = _ct0_stencil(pts) if 2 * Z * (4 + Z.bit_length()) <= n else None
-        if found is None:
-            found = _ct0_vectorized(pts)
+    Z = int(pts[:, 2].max())
+    found = _ct0_stencil(pts) if 2 * Z * (4 + Z.bit_length()) <= n else None
+    if found is None:
+        found = _ct0_walk(pts)
     pairs_arr, exps = found
     return TangencyPairSet(
         pairs=pairs_arr, delta=0.0, family_hash=family.provenance_hash(),
@@ -418,52 +420,35 @@ def _ct0_stencil(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return pairs, exps
 
 
-def _ct0_vectorized(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _ct0_walk(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tangent pairs and their dyadic exponents by a walk over every pair i < j.
+
+    The pairs come row by row in range_blocks of _SWEEP_BLOCK, so they come
+    out sorted. pts holds non-negative coordinates below 2^63, so every
+    difference is exact in int64; the squares are too up to
+    _INT64_EXACT_SPAN. Above it they wrap, but mod 2^64, and reduction mod
+    2^64 keeps every true equality, so the int64 test still passes every
+    tangent pair and only its hits need the exact test in Python integers.
+    """
     n = pts.shape[0]
-    out_pairs: list[np.ndarray] = []
-    out_dz: list[np.ndarray] = []
-    block = max(1, int(4e6) // max(n, 1))
-    for start in range(0, n - 1, block):
-        stop = min(start + block, n - 1)
-        rows = np.arange(start, stop)
-        dx = pts[rows, None, 0] - pts[None, :, 0]
-        dy = pts[rows, None, 1] - pts[None, :, 1]
-        dz = pts[rows, None, 2] - pts[None, :, 2]
-        ii, jj = np.nonzero(dx * dx + dy * dy == dz * dz)
-        keep = rows[ii] < jj
-        ii, jj = ii[keep], jj[keep]
-        out_pairs.append(np.column_stack([rows[ii], jj]))
-        out_dz.append(np.abs(dz[ii, jj]))
-    # rows ascend block by block and nonzero is row-major, so the pairs come
-    # out sorted
-    pairs = np.vstack(out_pairs)
-    dz = np.concatenate(out_dz)
+    x, y, z = (np.ascontiguousarray(pts[:, k]) for k in range(3))
+    wide = int(pts.max()) > _INT64_EXACT_SPAN
+    rows = np.arange(n)
+    found = []
+    for ii, jj in range_blocks(rows, rows + 1, np.full(n, n), _SWEEP_BLOCK):
+        dx, dy, dz = x[jj] - x[ii], y[jj] - y[ii], z[jj] - z[ii]
+        hit = np.flatnonzero(dx * dx + dy * dy == dz * dz)
+        if wide:
+            exact = [a * a + b * b == c * c for a, b, c in zip(*(v[hit].tolist() for v in (dx, dy, dz)))]
+            hit = hit[np.array(exact, dtype=bool)]
+        found.append((ii[hit], jj[hit], np.abs(dz[hit])))
+    i, j, dz = (np.concatenate(part) for part in zip(*found))
     if np.any(dz == 0):
         raise InvalidParamsError(_COINCIDENT)
     # one exact exponent per distinct height, broadcast to its pairs
     heights, inverse = np.unique(dz, return_inverse=True)
     exps = np.array([_dyadic_exponent(int(h)) for h in heights], dtype=np.int64)
-    return pairs, exps[inverse]
-
-
-def _ct0_python(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # exact fallback for coordinates beyond the int64-safe range
-    rows = [(int(a), int(b), int(c)) for a, b, c in pts]
-    pairs = []
-    exps = []
-    n = len(rows)
-    for i in range(n - 1):
-        xi, yi, zi = rows[i]
-        for j in range(i + 1, n):
-            dx = rows[j][0] - xi
-            dy = rows[j][1] - yi
-            dz = rows[j][2] - zi
-            if dx * dx + dy * dy == dz * dz:
-                if dz == 0:
-                    raise InvalidParamsError(_COINCIDENT)
-                pairs.append((i, j))
-                exps.append(_dyadic_exponent(dz))
-    return np.array(pairs, dtype=np.int64).reshape(-1, 2), np.array(exps, dtype=np.int64)
+    return np.column_stack([i, j]), exps[inverse]
 
 
 # ---------------------------------------------------------------------------

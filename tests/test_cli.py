@@ -256,6 +256,27 @@ class TestExperimentCommand:
         assert f"error: {key}: list is empty" in capsys.readouterr().err
         assert not list(out.glob("*.csv"))
 
+    @pytest.mark.parametrize("section, key, message", [
+        ("[sharpness]\nrho = 16\neps = 0.25\nseeds = 1\n", "R", "required value is missing"),
+        ("[sharpness]\nR = 256\neps = 0.25\nseeds = 1\n", "rho", "required value is missing"),
+        ("[sharpness]\nR = 256\nrho = 16\nseeds = 1\n", "eps", "required value is missing"),
+        ("[sharpness]\nR = 256\nrho = 16\neps = quarter\nseeds = 1\n", "eps", "malformed value 'quarter'"),
+        ("[lemma28]\ndelta = 0.01\n", "family", "required value is missing"),
+        ("[lemma28]\nfamily =\ndelta = 0.01\n", "family", "required value is missing"),
+        ("[lemma28]\nfamily = {fam}\n", "delta", "required value is missing"),
+        ("[lemma28]\nfamily = {fam}\ndelta = 1e-2x\n", "delta", "malformed value '1e-2x'"),
+    ])
+    def test_missing_or_malformed_scalar_names_key(self, tmp_path, capsys, section, key, message):
+        fam = tmp_path / "fam.txt"
+        assert run_cli("generate", "--kind", "clamshell", "--N", "5", "-o", str(fam)) == 0
+        capsys.readouterr()
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(section.format(fam=fam))
+        out = tmp_path / "o"
+        assert run_cli("experiment", "--config", str(cfg), "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {key}: {message}\n"
+        assert not list(out.glob("*.csv"))
+
     def test_chernoff_min_np_dropping_every_pair_exit_2(self, tmp_path, capsys):
         # n p = 1 < min_np: the filter leaves nothing to run, like an empty list
         cfg = tmp_path / "cfg.ini"

@@ -344,6 +344,15 @@ class TestSerialization:
         with pytest.raises(InvalidParamsError, match="NaN and inf"):
             CircleFamily(pts, 1.0, 0.0, unit_box(), {})
 
+    def test_integer_points_beyond_int64_rejected_at_construction(self):
+        # cast to int64 these would wrap, and (0, 0, 1), (2^63 - 2, 0, 2^63 + 3)
+        # would read as an exactly tangent pair
+        pts = np.array([[0, 0, 1], [2**63 - 2, 0, 2**63 + 3]], dtype=np.uint64)
+        with pytest.raises(InvalidParamsError, match="int64"):
+            CircleFamily(pts, 1.0, 0.0, unit_box(), {})
+        fits = np.array([[0, 0, 1], [2**63 - 2, 0, 2**63 - 1]], dtype=np.uint64)
+        assert CircleFamily(fits, 1.0, 0.0, unit_box(), {}).is_integer
+
     def test_validation_rejects_out_of_box(self):
         fam = CircleFamily(np.array([[5.0, 0.0, 1.5]]), 1.0, 0.0, unit_box(), {})
         with pytest.raises(ValueError, match="box"):

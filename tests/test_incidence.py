@@ -229,9 +229,9 @@ class TestExactCount:
     def test_coincident_points_rejected_on_every_path(self):
         lattice = gen_integer_lattice(4).points
         cases = [
-            np.array([[0, 0, 1], [0, 0, 1], [1, 0, 2]]),  # all-pairs scan
+            np.array([[0, 0, 1], [0, 0, 1], [1, 0, 2]]),  # pair walk, int64 exact
             np.vstack([lattice, lattice[60]]),  # stencil: Z = 4, 126 points
-            np.array([[0, 0, 1], [0, 0, 1], [1, 0, 2]]) * 2**30,  # Python integers
+            np.array([[0, 0, 1], [0, 0, 1], [1, 0, 2]]) * 2**33,  # pair walk, re-checked
         ]
         for pts in cases:
             with pytest.raises(InvalidParamsError, match="coincident"):
@@ -240,11 +240,11 @@ class TestExactCount:
             _ct0_stencil(cases[0])
 
     def test_translated_lattice_matches_original(self, monkeypatch):
-        # only the spans matter: the moved lattice must not fall to Python integers
+        # only the spans matter: the moved lattice must still take the stencil
         fam = gen_integer_lattice(12)
         moved = _integer_family(fam.points.astype(np.int64) + 2**30)
         a = count_ct0_exact(fam)
-        monkeypatch.setattr(incidence, "_ct0_python", None)
+        monkeypatch.setattr(incidence, "_ct0_walk", None)
         b = count_ct0_exact(moved)
         assert len(a) == 40400
         np.testing.assert_array_equal(a.pairs, b.pairs)
@@ -294,21 +294,21 @@ def _exact_pairs_oracle(pts) -> dict[tuple[int, int], float]:
     return found
 
 
-def _rays_by_unique(family, pairs) -> int:
-    """light_ray_degeneracy as first written, grouping ray ids with np.unique."""
-    if len(pairs) == 0:
-        return 0
-    pts = family.points.astype(np.int64)
-    i, j = pairs.pairs[:, 0], pairs.pairs[:, 1]
-    d = pts[j] - pts[i]
-    g = np.maximum(np.gcd(np.gcd(np.abs(d[:, 0]), np.abs(d[:, 1])), np.abs(d[:, 2])), 1)
-    d = d // g[:, None]
-    sign = np.where(d[:, 0] != 0, np.sign(d[:, 0]),
-                    np.where(d[:, 1] != 0, np.sign(d[:, 1]), np.sign(d[:, 2])))
-    d = d * sign[:, None]
-    ray_id = np.column_stack([d, np.cross(pts[i], d)])
-    _, counts = np.unique(ray_id, axis=0, return_counts=True)
-    return int(np.sum(counts >= 3))
+def _rays_by_moment(family, pairs) -> int:
+    """Rays with >= 3 points, each identified by its primitive direction and
+    the moment (cross product) of a point with it, in Python integers."""
+    pts = [tuple(int(c) for c in row) for row in family.points]
+    per_ray = {}
+    for i, j in pairs.pairs.tolist():
+        d = [b - a for a, b in zip(pts[i], pts[j])]
+        g = math.gcd(*d)
+        d = [c // g for c in d]
+        if next(c for c in d if c) < 0:  # canonical sign: first nonzero positive
+            d = [-c for c in d]
+        (x, y, z), (a, b, c) = pts[i], d
+        ray = (*d, y * c - z * b, z * a - x * c, x * b - y * a)
+        per_ray[ray] = per_ray.get(ray, 0) + 1
+    return sum(count >= 3 for count in per_ray.values())
 
 
 @st.composite
@@ -316,11 +316,11 @@ def _integer_points(draw):
     """Distinct integer points, shaped to reach each exact-counting path.
 
     dense: height span Z <= 6 and enough points for the stencil's dispatch
-    rule; wide: few points over a large span, so the all-pairs scan runs;
+    rule; wide: few points over a large span, so the pair walk runs;
     ray: points on one light ray among a few others; huge: wide or ray
-    points scaled by 2^25, so their span passes 2^24 and Python integers
-    run. Every kind may be moved by up to 2^61; coordinates may be
-    negative.
+    points scaled by 2^32, so their span passes _INT64_EXACT_SPAN and the
+    walk re-checks its hits in Python integers. Every kind may be moved by
+    up to 2^61; coordinates may be negative.
     """
     kind = draw(st.sampled_from(["dense", "wide", "ray", "huge"]))
     if kind == "dense":
@@ -342,11 +342,59 @@ def _integer_points(draw):
             ray = np.array([[t * sx * a, t * sy * b, t * sz * c] for t in ts])
             pts = np.unique(np.vstack([ray, pts[:5]]), axis=0)
             pts = pts[draw(st.permutations(range(len(pts))))]
-    pts = pts.astype(np.int64) * (2**25 if kind == "huge" else 1)
+    pts = pts.astype(np.int64) * (2**32 if kind == "huge" else 1)
     base = np.array(draw(st.tuples(*[st.integers(-100, 100)] * 3)))
     if draw(st.booleans()):
         base = base + draw(st.integers(2**24 + 1, 2**61))
     return pts + base
+
+
+class TestPairWalkAndRays:
+    def test_wrapped_square_is_not_a_pair(self):
+        # dx^2 = 2^64 of the first two points wraps to dz^2 = 0 in int64
+        ct = count_ct0_exact(_integer_family([[0, 0, 5], [2**32, 0, 5], [3, 4, 10]]))
+        assert ct.pairs.tolist() == [[0, 2]]
+
+    @pytest.mark.parametrize("span", [2**31 - 1, 2**31])
+    def test_spans_at_the_int64_bound(self, span):
+        k = span // 5
+        pts = np.array([
+            [0, 0, 0], [span, 0, span], [0, span, span], [span, span, span],
+            [3 * k, 4 * k, 5 * k], [3 * k + 1, 4 * k, 5 * k], [span, span - 1, 1],
+        ])
+        assert np.ptp(pts, axis=0).max() == span
+        expected = _exact_pairs_oracle(pts)
+        assert {(0, 1), (0, 2), (0, 4)} <= set(expected) and (0, 3) not in expected
+        ct = count_ct0_exact(_integer_family(pts))
+        assert ct.pairs.tolist() == [list(p) for p in sorted(expected)]
+        assert {D: {tuple(p) for p in arr.tolist()} for D, arr in ct.by_distance.items()} == {
+            D: {p for p, e in expected.items() if e == D} for D in set(expected.values())
+        }
+
+    def test_rays_far_apart_are_not_merged(self):
+        # two 3-point rays of one direction, whose int64 moments would wrap
+        pts = [[3 * t, 4 * t, 5 * t] for t in range(3)]
+        pts += [[2**62 + 3 * t, 4 * t, -2**62 + 5 * t] for t in range(3)]
+        fam = _integer_family(pts)
+        ct = count_ct0_exact(fam)
+        assert light_ray_degeneracy(fam, ct) == 2 == _rays_by_moment(fam, ct)
+
+    def test_float_family_refused_by_ray_count(self):
+        fam = gen_clamshell(50)  # all 50 points on one ray
+        with pytest.raises(InvalidParamsError, match="integer"):
+            light_ray_degeneracy(fam, count_ct_delta_bruteforce(fam, 1e-9))
+
+    def test_far_point_still_takes_the_stencil(self, monkeypatch):
+        # one pair 2^40 away: the stencil's keys still fit, so it runs
+        pts = np.vstack([gen_integer_lattice(6).points, [[2**40, 3, 9], [2**40 + 3, 7, 14]]])
+        monkeypatch.setattr(incidence, "_ct0_walk", None)
+        ct = count_ct0_exact(_integer_family(pts))
+        expected = _exact_pairs_oracle(pts)
+        assert (len(pts) - 2, len(pts) - 1) in expected
+        assert ct.pairs.tolist() == [list(p) for p in sorted(expected)]
+        assert {D: arr.shape[0] for D, arr in ct.by_distance.items()} == {
+            D: sum(e == D for e in expected.values()) for D in set(expected.values())
+        }
 
 
 class TestExactDifferential:
@@ -365,8 +413,7 @@ class TestExactDifferential:
         found = _ct0_stencil(pts) if np.ptp(pts, axis=0).max() <= 2**24 else None
         if found is not None:
             assert found[0].tolist() == ct.pairs.tolist()
-        if np.abs(pts).max() <= 2**24:  # ray moments of huge points wrap int64
-            assert light_ray_degeneracy(fam, ct) == _rays_by_unique(fam, ct)
+        assert light_ray_degeneracy(fam, ct) == _rays_by_moment(fam, ct)
 
 
 class TestMonotonicityAndScaling:
