@@ -2,7 +2,9 @@
 
 Exit code contract: 0 when the requested work succeeded and every gate in
 the run passed, 1 when an experiment gate failed (scientific regression),
-2 on invalid input or parameters (misuse). All runs are deterministic for a
+2 on invalid input or parameters (misuse: a TangencyLabError, or an OSError
+on a path the user named), 3 on any other exception, an internal error to
+be reported as a bug, with its traceback. All runs are deterministic for a
 fixed config and seed; the TANGENCY_SEED environment variable overrides
 seed values coming from configs or flags.
 """
@@ -15,9 +17,10 @@ import json
 import math
 import os
 import sys
+import traceback
 
 from . import experiments as ex
-from .errors import InvalidParamsError, TangencyLabError
+from .errors import InvalidParamsError, TangencyLabError, parse_value, text_lines
 from .families import (
     gen_clamshell,
     gen_integer_lattice,
@@ -34,9 +37,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (TangencyLabError, ValueError, TypeError, FileNotFoundError) as exc:
+    except (TangencyLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        return 3
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -91,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _env_seed(default: int) -> int:
     env = os.environ.get("TANGENCY_SEED")
-    return int(env) if env else default
+    return parse_value("TANGENCY_SEED", env, int) if env else default
 
 
 def _require(args, names: list[str], kind: str):
@@ -122,13 +128,11 @@ def cmd_generate(args) -> int:
 def cmd_count(args) -> int:
     fam = load_family(args.family)
     if args.exact:
-        if not fam.is_integer:
-            raise InvalidParamsError("exact: family is not integer-exact")
         pairs = count_ct0_exact(fam, with_bins=args.bin)
         delta = 0.0
     else:
-        if args.delta is None or not args.delta > 0:
-            raise InvalidParamsError("delta: required and positive unless --exact")
+        if args.delta is None:
+            raise InvalidParamsError("delta: required unless --exact")
         counter = count_ct_delta_bruteforce if args.oracle else count_ct_delta_hashed
         pairs = counter(fam, args.delta)
         if args.bin:
@@ -166,76 +170,84 @@ def cmd_planks(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _parse_values(sec: configparser.SectionProxy, key: str, default: str | None = None) -> list:
-    """The list under `key`: numbers and inclusive lo:hi integer ranges.
+def _parse_values(sec: configparser.SectionProxy, key: str, convert, default: str | None = None) -> list:
+    """The list under `key`: numbers and inclusive lo:hi integer ranges, through `convert`.
 
     A list that is missing (and has no default) or empty runs nothing, so it
-    raises InvalidParamsError naming the key.
+    raises InvalidParamsError naming the key, as does a malformed token.
     """
     raw = sec.get(key, default)
     if raw is None:
         raise InvalidParamsError(f"{key}: required list is missing")
     vals = []
     for tok in raw.replace(",", " ").split():
-        if ":" in tok:
-            lo, hi = tok.split(":")
-            vals.extend(range(int(lo), int(hi) + 1))
-        else:
-            vals.append(float(tok) if ("." in tok or "e" in tok or "E" in tok) else int(tok))
+        vals.extend(parse_value(key, tok, lambda t: _list_token(t, convert)))
     if not vals:
         raise InvalidParamsError(f"{key}: list is empty")
     return vals
 
 
-def _scalar(sec: configparser.SectionProxy, key: str, convert=float):
-    """The required scalar under `key`; InvalidParamsError names a missing or malformed one."""
-    raw = sec.get(key, "")
-    if not raw.strip():
+def _list_token(tok: str, convert) -> list:
+    """The values of one list token, a lo:hi integer range or one number, through convert."""
+    if ":" in tok:
+        lo, hi = tok.split(":")
+        return [convert(v) for v in range(int(lo), int(hi) + 1)]
+    return [convert(float(tok) if ("." in tok or "e" in tok or "E" in tok) else int(tok))]
+
+
+def _boolean(raw: str) -> bool:
+    """A config boolean: 1/0, yes/no, true/false or on/off."""
+    return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+
+
+def _scalar(sec: configparser.SectionProxy, key: str, convert=float, default=None):
+    """The scalar under `key`, or `default` when the key is absent;
+    InvalidParamsError names a missing required one or a malformed one."""
+    raw = sec.get(key)
+    if raw is None and default is not None:
+        return default
+    if raw is None or (default is None and not raw.strip()):
         raise InvalidParamsError(f"{key}: required value is missing")
-    try:
-        return convert(raw)
-    except ValueError:
-        raise InvalidParamsError(f"{key}: malformed value '{raw}'") from None
+    return parse_value(key, raw, convert)
 
 
 def _run_section(name: str, sec: configparser.SectionProxy, workers: int) -> ex.ExperimentReport:
     kind = sec.get("experiment", name.split(".")[0])
     if kind == "rectangle_bound":
         return ex.run_rectangle_bound(
-            [int(v) for v in _parse_values(sec, "R")],
-            rho_law=sec.get("rho_law", "sqrt"),
-            K=sec.getfloat("K", 2.0),
-            slope_gate=sec.getfloat("slope_gate", 0.35),
-            include_control=sec.getboolean("control", False),
-            control_N=sec.getint("control_N", 100),
+            _parse_values(sec, "R", int),
+            rho_law=_scalar(sec, "rho_law", str, "sqrt"),
+            K=_scalar(sec, "K", float, 2.0),
+            slope_gate=_scalar(sec, "slope_gate", float, 0.35),
+            include_control=_scalar(sec, "control", _boolean, False),
+            control_N=_scalar(sec, "control_N", int, 100),
             workers=workers,
         )
     if kind == "ct_bound":
         return ex.run_ct_bound(
-            [float(v) for v in _parse_values(sec, "delta")],
-            rho=sec.getfloat("rho", 4.0),
-            workers=workers,
+            _parse_values(sec, "delta", float), rho=_scalar(sec, "rho", float, 4.0), workers=workers
         )
     if kind == "exact_ct":
-        return ex.run_exact_ct([int(v) for v in _parse_values(sec, "n")])
+        return ex.run_exact_ct(_parse_values(sec, "n", int))
     if kind == "lemma28":
         fam = load_family(_scalar(sec, "family", str))
-        return ex.run_lemma28_check(fam, _scalar(sec, "delta"), A=sec.getfloat("A", 2.0))
+        return ex.run_lemma28_check(fam, _scalar(sec, "delta"), A=_scalar(sec, "A", float, 2.0))
     if kind == "sharpness":
-        seeds = [int(v) for v in _parse_values(sec, "seeds", "0:19")]
+        seeds = _parse_values(sec, "seeds", int, "0:19")
         if os.environ.get("TANGENCY_SEED"):
             # as many consecutive seeds as the config lists, from the override
             seeds = [_env_seed(0) + k for k in range(len(seeds))]
         return ex.run_sharpness(
             R=_scalar(sec, "R"), rho=_scalar(sec, "rho"), eps=_scalar(sec, "eps"),
-            seeds=seeds, K=sec.getfloat("K", 2.0),
+            seeds=seeds, K=_scalar(sec, "K", float, 2.0),
         )
     if kind == "chernoff":
-        ns = [int(v) for v in _parse_values(sec, "n")]
-        ps = [float(v) for v in _parse_values(sec, "p")]
-        trials = sec.getint("trials", 10**6)
-        seed = _env_seed(sec.getint("seed", 0))
-        runs = [(n, p) for n in ns for p in ps if n * p >= sec.getfloat("min_np", 0.0)]
+        ns = _parse_values(sec, "n", int)
+        ps = _parse_values(sec, "p", float)
+        trials = _scalar(sec, "trials", int, 10**6)
+        seed = _env_seed(_scalar(sec, "seed", int, 0))
+        min_np = _scalar(sec, "min_np", float, 0.0)
+        runs = [(n, p) for n in ns for p in ps if n * p >= min_np]
         if not runs:
             raise InvalidParamsError("min_np: no (n, p) pair has n p >= min_np, so nothing runs")
         merged = ex.ExperimentReport(experiment="chernoff")
@@ -253,10 +265,13 @@ def _run_section(name: str, sec: configparser.SectionProxy, workers: int) -> ex.
 
 
 def cmd_experiment(args) -> int:
-    cfg = configparser.ConfigParser()
-    read = cfg.read(args.config)
-    if not read:
-        raise InvalidParamsError(f"config: cannot read {args.config}")
+    # no interpolation: a '%' in a value is literal, so every malformed file
+    # is refused by read_file
+    cfg = configparser.ConfigParser(interpolation=None)
+    try:
+        cfg.read_file(text_lines(args.config), source=args.config)
+    except configparser.Error as exc:
+        raise InvalidParamsError(f"config: {exc}") from None
     sections = args.section or cfg.sections()
     if not sections:
         raise InvalidParamsError("config: no sections found")
@@ -276,8 +291,7 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_plotdata(args) -> int:
-    with open(args.report) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+    lines = [ln.rstrip("\n") for ln in text_lines(args.report)]
     if not lines:
         print("empty report", file=sys.stderr)
         return 0
@@ -289,19 +303,15 @@ def cmd_plotdata(args) -> int:
         elif ln and not ln.startswith("#"):
             body.append(ln)
     if args.provenance is not None and args.provenance != provenance:
-        print(f"error: provenance mismatch: report has '{provenance}'", file=sys.stderr)
-        return 2
+        raise InvalidParamsError(f"provenance: mismatch, report has '{provenance}'")
     if not body:
         return 0
     header = body[0].split(",")
-    try:
-        i_exp = header.index("experiment")
-        i_r = header.index("R")
-        i_k = header.index("K")
-        i_ratio = header.index("ratio")
-    except ValueError as exc:
-        print(f"error: missing column: {exc}", file=sys.stderr)
-        return 2
+    columns = ("experiment", "R", "K", "ratio")
+    for col in columns:
+        if col not in header:
+            raise InvalidParamsError(f"report: missing column '{col}'")
+    i_exp, i_r, i_k, i_ratio = (header.index(col) for col in columns)
     series: dict[str, list[tuple[float, float]]] = {}
     for ln in body[1:]:
         cells = ln.split(",")

@@ -21,6 +21,7 @@ import numpy as np
 from scipy import stats
 
 from .errors import DegenerateSweepError, InvalidParamsError, ValidationError
+from .errors import check_dilation, check_positive, check_seed, parse_value
 from .families import (
     WELLSPACED_GRID_FACTOR,
     CircleFamily,
@@ -34,6 +35,7 @@ from .families import (
     gen_random_wellspaced,
     pack_grid_keys,
     wellspaced_candidates,
+    wellspaced_probability,
 )
 from .geometry import PlankBatch, comparability_graph, frame_coords, in_window, point_window
 from .incidence import bin_dyadic, count_ct0_exact, count_ct_delta_hashed
@@ -171,6 +173,10 @@ def run_rectangle_bound(
     slope against R must stay below slope_gate. An optional clamshell
     control violates the spacing precondition and is reported flagged.
     """
+    for R in R_values:
+        check_positive("R", R)
+    if rho_law != "sqrt":
+        parse_value("rho_law", rho_law)  # a number, refused before any job starts
     report = ExperimentReport(experiment="rectangle_bound")
     results = _parallel_map(_rectangle_job, [(R, rho_law, K) for R in R_values], workers)
     ratios = []
@@ -241,6 +247,8 @@ def run_ct_bound(delta_values, rho: float = 4.0, workers: int = 1) -> Experiment
     row records the minimal dyadic witness mu_hat (the bound is existential;
     the minimal witness is one canonical choice).
     """
+    for delta in delta_values:
+        check_positive("delta", delta)
     report = ExperimentReport(experiment="ct_bound")
     rows = _parallel_map(_ct_job, [(d, rho) for d in delta_values], workers)
     report.rows.extend(rows)
@@ -305,8 +313,7 @@ def light_ray_degeneracy(family: CircleFamily, pairs) -> int:
     in int64: differences of tangent pairs fit, since count_ct0_exact
     refuses spans that do not.
     """
-    if not family.is_integer:
-        raise InvalidParamsError("family: light rays are counted on integer-exact families only")
+    family.check_integer()
     pts = family.points.astype(np.int64)
     i, j = pairs.pairs[:, 0], pairs.pairs[:, 1]
     d = pts[j] - pts[i]
@@ -383,6 +390,7 @@ def run_lemma28_check(family: CircleFamily, delta: float, A: float = 2.0) -> Exp
     A-dilation of some kept plank. The row per D compares the bucket size
     against sum over kept planks of |X intersect A P|^2.
     """
+    check_dilation(A, "A")
     report = ExperimentReport(experiment="lemma28")
     pairs = count_ct_delta_hashed(family, delta)
     binned = bin_dyadic(pairs, family)
@@ -537,10 +545,10 @@ def run_sharpness(
     seeds = list(seeds)
     if not seeds:
         raise InvalidParamsError("seeds: need at least one seed")
+    p = wellspaced_probability(R, rho, eps)
     report = ExperimentReport(experiment="sharpness")
     coll = enumerate_incomparable(R, S=R, K=K)
     n_planks = len(coll)
-    p = R**eps * rho**-3.0
     m_asym = WELLSPACED_GRID_FACTOR**-3.0 * R**1.5 * p
     cand, single_tile = wellspaced_candidates(R, rho)
     incidences = list(slice_incidences(coll, cand.astype(float), 1.0))
@@ -730,6 +738,7 @@ def chernoff_tails(n: int, p: float, trials: int, seed: int = 0) -> ExperimentRe
     """
     if n < 1 or not (0 < p < 1) or trials < 1:
         raise ValidationError("chernoff: need n >= 1, p in (0,1), trials >= 1")
+    check_seed(seed)
     report = ExperimentReport(experiment="chernoff")
     rng = np.random.default_rng(seed)
     sums = rng.binomial(n, p, size=trials)

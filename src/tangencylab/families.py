@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import EmptyFamilyError, InvalidParamsError
+from .errors import EmptyFamilyError, InvalidParamsError, check_positive, check_seed, parse_value, text_lines
 from .geometry import Circle3, expand_ranges
 
 Box = tuple[tuple[float, float], tuple[float, float], tuple[float, float]]
@@ -94,7 +94,7 @@ class CircleFamily:
         if self.points.size == 0:
             self.points = self.points.reshape(0, 3)
         if self.points.shape[1] != 3:
-            raise ValueError("points must have shape (n, 3)")
+            raise InvalidParamsError("points: must have shape (n, 3)")
         if self.points.dtype.kind == "f" and not np.isfinite(self.points).all():
             raise InvalidParamsError("points: NaN and inf coordinates are rejected")
         if self.points.dtype.kind == "u" and self.points.size and self.points.max() > np.iinfo(np.int64).max:
@@ -113,6 +113,11 @@ class CircleFamily:
             return Circle3(center=(int(x1), int(x2)), radius=int(x3))
         return Circle3(center=(float(x1), float(x2)), radius=float(x3))
 
+    def check_integer(self) -> None:
+        """Refuse a family whose points are not integer-exact."""
+        if not self.is_integer:
+            raise InvalidParamsError("family: points must be integer-exact")
+
     def validate(self):
         """Check box membership, radii, and absence of duplicates.
 
@@ -124,18 +129,17 @@ class CircleFamily:
         pts = self.points.astype(float)
         escaped = np.flatnonzero(_outside_box(pts, self.box).any(axis=0))
         if escaped.size:
-            raise ValueError(f"points leave the declared box on axis {escaped[0]}")
+            raise InvalidParamsError(f"points: outside the declared box on axis {escaped[0]}")
         if len(self) and self.box[2][0] > 0 and not (pts[:, 2] > 0).all():
-            raise ValueError("all radii must be positive")
+            raise InvalidParamsError("points: all radii must be positive")
         if len(self) > 1:
             uniq = np.unique(self.points, axis=0)
             if uniq.shape[0] != len(self):
-                raise ValueError("duplicate points are rejected at validation")
+                raise InvalidParamsError("points: duplicate points are rejected at validation")
 
     def rescale(self, lam: float) -> "CircleFamily":
         """Scale every coordinate (and the declared geometry) by lam > 0."""
-        if not lam > 0:
-            raise ValueError("scale factor must be positive")
+        check_positive("lam", lam)
         box = tuple((lo * lam, hi * lam) for lo, hi in self.box)
         prov = dict(self.provenance)
         prov["rescaled_by"] = prov.get("rescaled_by", 1.0) * lam
@@ -220,35 +224,34 @@ def load_family(path) -> CircleFamily:
     The first non-hash comment line holds the provenance keys, later comment
     lines the structural ones (box, integer flag, count); keeping them apart
     makes load/serialize a byte-exact round trip, so hashes stay stable.
-    Raises ValueError with a line number on malformed rows, and
-    InvalidParamsError with one on a row outside the declared box.
+    Raises InvalidParamsError: with a line number on a malformed row or one
+    outside the declared box, and naming the key of a malformed header value.
     """
     prov: dict = {}
     structural: dict = {}
     have_prov = False
     rows: list[list[str]] = []
     linenos: list[int] = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
+    for lineno, raw in enumerate(text_lines(path), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            tokens = [tok for tok in line[1:].split() if "=" in tok]
+            pairs = [tok.split("=", 1) for tok in tokens]
+            if pairs and pairs[0][0] == "hash":
                 continue
-            if line.startswith("#"):
-                tokens = [tok for tok in line[1:].split() if "=" in tok]
-                pairs = [tok.split("=", 1) for tok in tokens]
-                if pairs and pairs[0][0] == "hash":
-                    continue
-                if not have_prov:
-                    prov.update(pairs)
-                    have_prov = True
-                else:
-                    structural.update(pairs)
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ValueError(f"line {lineno}: expected 3 columns, got {len(parts)}")
-            rows.append(parts)
-            linenos.append(lineno)
+            if not have_prov:
+                prov.update(pairs)
+                have_prov = True
+            else:
+                structural.update(pairs)
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise InvalidParamsError(f"line {lineno}: expected 3 columns, got {len(parts)}")
+        rows.append(parts)
+        linenos.append(lineno)
     if not rows:
         raise EmptyFamilyError("family file contains no points")
     integer = structural.get("integer", "0") == "1"
@@ -258,12 +261,11 @@ def load_family(path) -> CircleFamily:
         else:
             points = np.array([[float(t) for t in row] for row in rows], dtype=float)
     except (ValueError, OverflowError) as exc:
-        raise ValueError(f"malformed coordinate row: {exc}") from exc
-    scale = float(prov.get("R", 1.0))
-    rho = float(prov.get("rho", 0.0))
+        raise InvalidParamsError(f"points: malformed coordinate row: {exc}") from None
+    scale = parse_value("R", prov.get("R", "1.0"))
+    rho = parse_value("rho", prov.get("rho", "0.0"))
     if "box" in structural:
-        spans = [tuple(float(t) for t in pair.split(":")) for pair in structural["box"].split(",")]
-        box: Box = tuple(spans)  # type: ignore[assignment]
+        box: Box = parse_value("box", structural["box"], _header_box)
         escaped = np.flatnonzero(_outside_box(points.astype(float), box).any(axis=1))
         if escaped.size:
             raise InvalidParamsError(
@@ -274,6 +276,12 @@ def load_family(path) -> CircleFamily:
         hi = points.max(axis=0).astype(float)
         box = tuple((float(a), float(b)) for a, b in zip(lo, hi))  # type: ignore[assignment]
     return CircleFamily(points, scale, rho, box, prov)
+
+
+def _header_box(raw: str) -> Box:
+    """The box of a family header, lo:hi for each of the three axes."""
+    x, y, z = ((float(lo), float(hi)) for lo, hi in (pair.split(":") for pair in raw.split(",")))
+    return x, y, z
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +297,7 @@ def gen_maximal_separated(R: float, rho: float, box_kind: str = "cube") -> Circl
     Each axis is clipped to its box end, which lo + rho k can pass by a
     rounding when (hi - lo) / rho is just below an integer.
     """
+    check_positive("R", R)
     if not 0 < rho <= R:
         raise InvalidParamsError("rho: need 0 < rho <= R")
     box = cube_box(R) if box_kind == "cube" else annular_box(R)
@@ -332,6 +341,20 @@ def wellspaced_candidates(R: float, rho: float) -> tuple[np.ndarray, bool]:
     return np.column_stack([vals[i] for i in idx])[order], single
 
 
+def wellspaced_probability(R: float, rho: float, eps: float) -> float:
+    """p = R^eps / rho^3 of the well-spaced construction, its preconditions checked."""
+    if not 10 <= R < math.inf:
+        raise InvalidParamsError("R: need 10 <= R < inf")
+    if not rho <= math.sqrt(R) * (1 + 1e-12):
+        raise InvalidParamsError("rho: need rho <= sqrt(R)")
+    if not rho >= R**eps * (1 - 1e-12):
+        raise InvalidParamsError("rho: need rho >= R^eps")
+    p = R**eps * rho**-3.0
+    if p > 1.0:
+        raise InvalidParamsError("p: inclusion probability R^eps/rho^3 exceeds 1")
+    return p
+
+
 def gen_random_wellspaced(R: float, rho: float, eps: float, seed: int) -> CircleFamily:
     """Randomized well-spaced family in [0, R]^3.
 
@@ -342,16 +365,8 @@ def gen_random_wellspaced(R: float, rho: float, eps: float, seed: int) -> Circle
     R (no full tile fits) the whole box acts as the single tile, so the
     candidates sit in one rho-subcube centered in the box.
     """
-    if R < 10:
-        raise InvalidParamsError("R: need R >= 10")
-    if rho > math.sqrt(R) * (1 + 1e-12):
-        raise InvalidParamsError("rho: need rho <= sqrt(R)")
-    if rho < R**eps * (1 - 1e-12):
-        raise InvalidParamsError("rho: need rho >= R^eps")
-    p = R**eps * rho**-3.0
-    if p > 1.0:
-        raise InvalidParamsError("p: inclusion probability R^eps/rho^3 exceeds 1")
-
+    p = wellspaced_probability(R, rho, eps)
+    check_seed(seed)
     Y, single = wellspaced_candidates(R, rho)
     rng = np.random.default_rng(seed)
     keep = rng.random(Y.shape[0]) < p
@@ -454,7 +469,7 @@ def check_frostman(family: CircleFamily, delta: float) -> dict[float, float]:
     a full 3-d grid blows up as r grows).
     """
     if not (0 < delta < 1):
-        raise ValueError("delta must lie in (0, 1)")
+        raise InvalidParamsError("delta: must lie in (0, 1)")
     if len(family) == 0:
         return {}
     pts = family.points.astype(float)
@@ -487,8 +502,7 @@ def cube_occupancy(family: CircleFamily, cell: float) -> OccupancyProfile:
     point is counted exactly once (conservation is an invariant). A point
     outside the declared box has no cell and raises InvalidParamsError.
     """
-    if not cell > 0:
-        raise ValueError("cell must be positive")
+    check_positive("cell", cell)
     if len(family) == 0:
         return OccupancyProfile(cell_size=cell, max_count=0, histogram={})
     pts = family.points.astype(float)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConcentricError, InvalidParamsError, NotNearTangentError
+from .errors import ConcentricError, InvalidParamsError, NotNearTangentError, check_dilation, check_positive
 
 SQRT2 = math.sqrt(2.0)
 
@@ -68,8 +68,7 @@ class Circle3:
     radius: float
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
+        check_positive("radius", self.radius)
 
     @property
     def is_integer(self) -> bool:
@@ -101,9 +100,9 @@ def is_exact_tangent_int(x: Circle3, y: Circle3) -> bool:
     handling is needed on this path.
     """
     if not (x.is_integer and y.is_integer):
-        raise TypeError("is_exact_tangent_int requires exact integer coordinates")
+        raise InvalidParamsError("x, y: exact integer coordinates are required")
     if x == y:
-        raise ValueError("tangency test requires two distinct circles")
+        raise InvalidParamsError("x, y: the tangency test needs two distinct circles")
     dx = x.center[0] - y.center[0]
     dy = x.center[1] - y.center[1]
     dz = x.radius - y.radius
@@ -193,8 +192,8 @@ class Lightplank:
     B: float
 
     def __post_init__(self):
-        if not (self.A > 0 and self.B > 0):
-            raise ValueError("plank side lengths must be positive")
+        check_positive("A", self.A)
+        check_positive("B", self.B)
 
     def half_widths(self) -> np.ndarray:
         return np.array([self.A / 2.0, math.sqrt(self.A * self.B) / 2.0, self.B / 2.0])
@@ -217,9 +216,8 @@ class PlankBatch:
     mats: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        for name, side in (("A", self.A), ("B", self.B)):
-            if not (math.isfinite(side) and side > 0):
-                raise InvalidParamsError(f"{name}: plank sides must be finite and positive")
+        check_positive("A", self.A)
+        check_positive("B", self.B)
         thetas = np.asarray(self.thetas, dtype=float).reshape(-1)
         object.__setattr__(self, "thetas", thetas)
         centers = np.asarray(self.centers, dtype=float).reshape(thetas.size, 3)
@@ -239,8 +237,7 @@ class PlankBatch:
 
 def plank_contains(plank: Lightplank, x, K: float = 1.0) -> bool:
     """Whether point x lies in the K-dilation (about the center) of the plank."""
-    if K < 1.0:
-        raise ValueError("dilation factor K must be >= 1")
+    check_dilation(K)
     p = x.as_point() if isinstance(x, Circle3) else np.asarray(x, dtype=float)
     offsets = (p - plank.v) @ plank.frame.matrix().T
     return bool(in_window(offsets, point_window(plank.half_widths(), K)))
@@ -291,8 +288,7 @@ def plank_contained_in_dilation(inner: Lightplank, outer: Lightplank, K: float =
 
 def plank_comparable(P: Lightplank, Q: Lightplank, K: float = 1.0) -> bool:
     """True when one plank is contained in the K-dilation of the other."""
-    if K < 1.0:
-        raise ValueError("dilation factor K must be >= 1")
+    check_dilation(K)
     return plank_contained_in_dilation(P, Q, K) or plank_contained_in_dilation(Q, P, K)
 
 
@@ -517,9 +513,9 @@ class Rect2:
 
     def __post_init__(self):
         if not (0.0 < self.width <= self.length):
-            raise ValueError("need 0 < width <= length")
+            raise InvalidParamsError("width: need 0 < width <= length")
         if not (0.0 <= self.angle < math.pi):
-            raise ValueError("angle must lie in [0, pi)")
+            raise InvalidParamsError("angle: must lie in [0, pi)")
 
 
 def rect_axes(rect: Rect2) -> tuple[np.ndarray, np.ndarray]:
@@ -555,8 +551,7 @@ def annulus_contains_rect(x: Circle3, rect: Rect2, delta: float) -> bool:
     point-to-rectangle distance. Containment holds iff
     corner max < radius + 10*delta and near distance > radius - 10*delta.
     """
-    if not delta > 0:
-        raise ValueError("delta must be positive")
+    check_positive("delta", delta)
     thick = ANNULUS_THICKNESS_FACTOR * delta
     cx = np.array(x.center, dtype=float)
     far = float(np.max(np.linalg.norm(rect_corners(rect) - cx, axis=1)))
@@ -597,8 +592,7 @@ def tangency_rect(x: Circle3, y: Circle3, delta: float) -> Rect2:
     and NotNearTangentError when the gap is at least delta. The result is
     contained in both 10*delta annuli (checkable via annulus_contains_rect).
     """
-    if not delta > 0:
-        raise ValueError("delta must be positive")
+    check_positive("delta", delta)
     gap = delta_gap(x, y)
     z_star, u = tangency_point(x, y)  # raises ConcentricError first if needed
     if gap >= delta:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParamsError
+from .errors import InvalidParamsError, check_positive
 from .families import CircleFamily
 from .geometry import ANNULUS_THICKNESS_FACTOR, Rect2, expand_ranges, range_blocks, rect_axes, rect_corners
 
@@ -104,11 +104,6 @@ _SWEEP_BLOCK = 1 << 18
 _COST_POINT, _COST_BIN, _COST_CANDIDATE, _SWEEP_DENSITY = 1.6e-7, 3e-5, 5.5e-8, 3.0
 
 
-def _check_delta(delta: float) -> None:
-    if not (math.isfinite(delta) and delta > 0):
-        raise InvalidParamsError("delta: must be finite and positive")
-
-
 def _gaps(dx: np.ndarray, dy: np.ndarray, dz: np.ndarray) -> np.ndarray:
     """Tangency gaps from coordinate differences: the one expression every
     near counter decides by. It is exact under a sign flip of all three
@@ -122,7 +117,7 @@ def count_ct_delta_bruteforce(family: CircleFamily, delta: float) -> TangencyPai
     This is the reference implementation every accelerated path is checked
     against.
     """
-    _check_delta(delta)
+    check_positive("delta", delta)
     pts = family.points.astype(float)
     n = pts.shape[0]
     found = [np.empty(0, dtype=np.int64)]
@@ -167,7 +162,7 @@ def count_ct_delta_hashed(family: CircleFamily, delta: float) -> TangencyPairSet
     the family's extents. The name is kept from the grid-hash counter the
     sweep replaced, which the acceptance suite and the benchmark call.
     """
-    _check_delta(delta)
+    check_positive("delta", delta)
     pts = family.points.astype(float)
     n = pts.shape[0]
     packed = _direction_sweep(pts, delta, _direction_bins(pts, delta)) if n >= 2 else np.empty(0, np.int64)
@@ -320,8 +315,7 @@ def count_ct0_exact(family: CircleFamily, with_bins: bool = True) -> TangencyPai
     by_distance gets the dyadic buckets of the pair distance, |d|^2 = 2 dz^2,
     when requested.
     """
-    if not family.is_integer:
-        raise TypeError("count_ct0_exact requires an integer-exact family")
+    family.check_integer()
     pts = family.points.astype(np.int64)
     n = pts.shape[0]
     if n < 2:
@@ -493,8 +487,7 @@ def lift_rect(rect: Rect2, family: CircleFamily, delta: float) -> np.ndarray:
     the vectorized twin of geometry.annulus_contains_rect and is tested
     against it member by member.
     """
-    if not delta > 0:
-        raise ValueError("delta must be positive")
+    check_positive("delta", delta)
     if len(family) == 0:
         return np.empty(0, dtype=np.int64)
     thick = ANNULUS_THICKNESS_FACTOR * delta

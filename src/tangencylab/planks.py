@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import ConcentricError, EmptyFamilyError, InvalidParamsError
+from .errors import ConcentricError, EmptyFamilyError, InvalidParamsError, check_dilation, check_positive
 from .families import Box, CircleFamily, cube_box, pack_grid_keys, unpack_grid_keys
 from .geometry import (
     Lightplank,
@@ -354,15 +354,11 @@ def enumerate_incomparable(
     """
     if S is None:
         S = float(R)
-    for name, value in (("R", R), ("S", S), ("K", K), ("A", A)):
-        if not math.isfinite(value):
-            raise InvalidParamsError(f"{name}: must be finite")
-    if A <= 0:
-        raise InvalidParamsError("A: need A > 0")
-    if S > R * (1 + 1e-12) or S < 1:
+    check_positive("R", R)
+    if not 1 <= S <= R * (1 + 1e-12):
         raise InvalidParamsError("S: need 1 <= S <= R")
-    if K < 1:
-        raise InvalidParamsError("K: need K >= 1")
+    check_positive("A", A)
+    check_dilation(K)
     if box is None:
         box = cube_box(R)
 
@@ -777,8 +773,7 @@ def bilinear_rich(
     """
     if len(B_fam) == 0 or len(W_fam) == 0:
         raise EmptyFamilyError("bilinear count needs two nonempty families")
-    if not (math.isfinite(delta) and delta > 0):
-        raise InvalidParamsError("delta: must be finite and positive")
+    check_positive("delta", delta)
     if mu < 1 or nu < 1:
         raise InvalidParamsError("mu, nu: richness thresholds must be >= 1")
     nb = len(B_fam)

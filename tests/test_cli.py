@@ -307,6 +307,73 @@ class TestExperimentCommand:
         ) == 2
 
 
+class TestMisuseContract:
+    @pytest.mark.parametrize("text", [
+        "R = 5\n[exact_ct]\nn = 4\n",
+        "[exact_ct]\nn = 4\nn = 4\n",
+    ])
+    def test_malformed_config_file_exit_2(self, tmp_path, capsys, text):
+        # no section header, or a duplicate option: refused as config input
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(text)
+        out = tmp_path / "o"
+        assert run_cli("experiment", "--config", str(cfg), "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith("error: config:")
+        assert not out.exists()
+
+    def test_unwritable_output_exit_2(self, tmp_path, capsys):
+        # -o naming a directory is misuse, not a failed gate
+        assert run_cli("planks", "--R", "16", "-o", str(tmp_path)) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        fam = tmp_path / "lat.txt"
+        assert run_cli("generate", "--kind", "lattice", "--n", "2", "-o", str(fam)) == 0
+        out = tmp_path / "missing" / "pairs.txt"
+        assert run_cli("count", "--family", str(fam), "--exact", "-o", str(out)) == 2
+
+    @pytest.mark.parametrize("config, key, raw", [
+        ("[rectangle_bound]\nR = 64,128\nK = abc\n", "K", "abc"),
+        ("[rectangle_bound]\nR = 64,1x8\n", "R", "1x8"),
+        ("[rectangle_bound]\nR = 64,128\nrho_law = abc\n", "rho_law", "abc"),
+        ("[rectangle_bound]\nR = 64,128\ncontrol = maybe\n", "control", "maybe"),
+        ("[chernoff]\nn = 10\np = 0.1\ntrials = 1e3\n", "trials", "1e3"),
+        ("[chernoff]\nn = 10\np = 0.1:1\ntrials = 10\n", "p", "0.1:1"),
+        ("[exact_ct]\nn = 1e999\n", "n", "1e999"),
+        ("[sharpness]\nR = 256\nrho = 16\neps = 0.25\nseeds = 0:x\n", "seeds", "0:x"),
+        ("env", "TANGENCY_SEED", "x"),
+        ("# generator=x R=abc\n0 0 1\n1 0 2\n", "R", "abc"),
+        ("# generator=x\n# box=0:1,0:1\n0 0 1\n1 0 2\n", "box", "0:1,0:1"),
+        ("# generator=x\n# box=0:1,0:1,0:a\n0 0 1\n1 0 2\n", "box", "0:1,0:1,0:a"),
+    ])
+    def test_malformed_value_names_key(self, tmp_path, capsys, monkeypatch, config, key, raw):
+        # each value is refused where it is read, naming its key, before any
+        # job starts; none reaches a kernel as an untyped exception
+        out = tmp_path / "o"
+        if config == "env":
+            monkeypatch.setenv(key, raw)
+            argv = ["generate", "--kind", "wellspaced", "--R", "4096", "--rho", "16",
+                    "--eps", "0.3", "-o", str(tmp_path / "w.txt")]
+        elif config.startswith("#"):
+            fam = tmp_path / "fam.txt"
+            fam.write_text(config)
+            argv = ["count", "--family", str(fam), "--delta", "0.1"]
+        else:
+            cfg = tmp_path / "cfg.ini"
+            cfg.write_text(config)
+            argv = ["experiment", "--config", str(cfg), "--out", str(out)]
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err == f"error: {key}: malformed value '{raw}'\n"
+        assert not list(tmp_path.glob("o/*.csv"))
+
+    def test_binary_input_file_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b"\xff\xfe\x00\x01")
+        for argv in (["count", "--family", str(bad), "--delta", "0.1"],
+                     ["experiment", "--config", str(bad), "--out", str(tmp_path / "o")],
+                     ["plotdata", "--report", str(bad), "-o", str(tmp_path / "p")]):
+            assert run_cli(*argv) == 2
+            assert "not a text file" in capsys.readouterr().err
+
+
 class TestPlotdata:
     def _make_report(self, tmp_path):
         cfg = tmp_path / "cfg.ini"

@@ -315,7 +315,7 @@ class TestSerialization:
     def test_parse_error_carries_line_number(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("# generator=x\n1.0 2.0 3.0\n4.0 5.0\n")
-        with pytest.raises(ValueError, match="line 3"):
+        with pytest.raises(InvalidParamsError, match="line 3"):
             load_family(path)
 
     def test_row_outside_declared_box_rejected(self, tmp_path):
@@ -335,7 +335,7 @@ class TestSerialization:
         fam = CircleFamily(
             np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]), 1.0, 0.0, unit_box(), {}
         )
-        with pytest.raises(ValueError, match="duplicate"):
+        with pytest.raises(InvalidParamsError, match="duplicate"):
             fam.validate()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -355,7 +355,7 @@ class TestSerialization:
 
     def test_validation_rejects_out_of_box(self):
         fam = CircleFamily(np.array([[5.0, 0.0, 1.5]]), 1.0, 0.0, unit_box(), {})
-        with pytest.raises(ValueError, match="box"):
+        with pytest.raises(InvalidParamsError, match="box"):
             fam.validate()
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from tangencylab.errors import ConcentricError, NotNearTangentError
+from tangencylab.errors import ConcentricError, InvalidParamsError, NotNearTangentError
 from tangencylab.geometry import (
     Circle3,
     Lightplank,
@@ -84,11 +84,11 @@ class TestExactTangency:
         assert is_exact_tangent_int(C(0, 0, 1), C(1, 1, 2)) is False
 
     def test_rejects_floats(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(InvalidParamsError):
             is_exact_tangent_int(C(0.0, 0, 1), C(1, 0, 2))
 
     def test_rejects_identical(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParamsError):
             is_exact_tangent_int(C(1, 2, 3), C(1, 2, 3))
 
     def test_huge_coordinates_cannot_wrap(self):
@@ -489,9 +489,9 @@ class TestRectHelpers:
         assert d <= np.linalg.norm(corners - np.array([px, py]), axis=1).min() + 1e-12
 
     def test_rect_invariants(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParamsError):
             Rect2(center=(0, 0), angle=0.0, width=1.0, length=0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParamsError):
             Rect2(center=(0, 0), angle=-0.1, width=0.1, length=0.5)
 
     def test_wrap_angle(self):

@@ -204,7 +204,7 @@ class TestExactCount:
 
     def test_requires_integer_family(self):
         fam = random_unit_family(0, 10)
-        with pytest.raises(TypeError):
+        with pytest.raises(InvalidParamsError):
             count_ct0_exact(fam)
 
     def test_bins_partition_and_match_distances(self):
