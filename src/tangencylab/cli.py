@@ -139,13 +139,8 @@ def cmd_count(args) -> int:
             pairs = bin_dyadic(pairs, fam)
         delta = args.delta
     if args.output:
-        body = pairs.serialize(fam)
-        if args.bin and pairs.by_distance is not None:
-            body += "".join(
-                f"# bucket D={D!r} n={arr.shape[0]}\n" for D, arr in sorted(pairs.by_distance.items())
-            )
         with open(args.output, "w") as fh:
-            fh.write(body)
+            fh.write(pairs.serialize(fam))
     print(f"|X|={len(fam)} |CT_delta|={len(pairs)} delta={delta!r}")
     return 0
 

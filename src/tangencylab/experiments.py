@@ -18,7 +18,6 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
-from scipy import stats
 
 from .errors import DegenerateSweepError, InvalidParamsError, ValidationError
 from .errors import check_dilation, check_positive, check_seed, parse_value
@@ -114,7 +113,6 @@ class SweepFit:
     slope: float
     intercept: float
     r_squared: float
-    residuals: list[float]
 
 
 def scaling_sweep(xs, ys) -> SweepFit:
@@ -122,7 +120,8 @@ def scaling_sweep(xs, ys) -> SweepFit:
 
     Raises DegenerateSweepError when the abscissae carry no spread. A zero
     or constant observable fits slope 0 by convention of the log transform
-    applied to max(y, tiny).
+    applied to max(y, tiny). The arithmetic is that of scipy's linregress, so
+    the fit matches it bit for bit.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -130,13 +129,16 @@ def scaling_sweep(xs, ys) -> SweepFit:
         raise DegenerateSweepError("sweep needs at least two distinct abscissae")
     lx = np.log(xs)
     ly = np.log(np.maximum(ys, 1e-300))
-    res = stats.linregress(lx, ly)
-    fitted = res.intercept + res.slope * lx
+    ssxm, ssxym, _, ssym = np.cov(lx, ly, bias=1).flat
+    if ssxm == 0.0 or ssym == 0.0:
+        r = math.nan if ssxym == 0 else 0.0
+    else:
+        r = min(max(ssxym / np.sqrt(ssxm * ssym), -1.0), 1.0)
+    slope = ssxym / ssxm
     return SweepFit(
-        slope=float(res.slope),
-        intercept=float(res.intercept),
-        r_squared=float(res.rvalue**2),
-        residuals=list(ly - fitted),
+        slope=float(slope),
+        intercept=float(np.mean(ly) - slope * np.mean(lx)),
+        r_squared=float(r**2),
     )
 
 
@@ -175,6 +177,8 @@ def run_rectangle_bound(
     """
     for R in R_values:
         check_positive("R", R)
+    if math.isnan(slope_gate):
+        raise InvalidParamsError("slope_gate: must not be nan")
     if rho_law != "sqrt":
         parse_value("rho_law", rho_law)  # a number, refused before any job starts
     report = ExperimentReport(experiment="rectangle_bound")
@@ -736,8 +740,12 @@ def chernoff_tails(n: int, p: float, trials: int, seed: int = 0) -> ExperimentRe
     exact binomial tails are computed by integer summation and compared at
     60-digit precision.
     """
-    if n < 1 or not (0 < p < 1) or trials < 1:
-        raise ValidationError("chernoff: need n >= 1, p in (0,1), trials >= 1")
+    if not n >= 1:
+        raise ValidationError("n: must be at least 1")
+    if not 0 < p < 1:
+        raise ValidationError("p: must be in (0, 1)")
+    if not trials >= 1:
+        raise ValidationError("trials: must be at least 1")
     check_seed(seed)
     report = ExperimentReport(experiment="chernoff")
     rng = np.random.default_rng(seed)

@@ -33,10 +33,6 @@ SQRT2 = math.sqrt(2.0)
 # Annuli used in rectangle-containment tests are 10*delta thick.
 ANNULUS_THICKNESS_FACTOR = 10.0
 
-# Default relative tolerance for "exact" tangency of float circles: the
-# integer path is the only true zero test, floats get delta < TOL * scale.
-FLOAT_TANGENCY_RTOL = 1e-9
-
 
 def wrap_angle(theta: float) -> float:
     """Wrap an angle into [-pi, pi)."""
@@ -107,17 +103,6 @@ def is_exact_tangent_int(x: Circle3, y: Circle3) -> bool:
     dy = x.center[1] - y.center[1]
     dz = x.radius - y.radius
     return dx * dx + dy * dy == dz * dz
-
-
-def is_near_tangent(x: Circle3, y: Circle3, tol: float | None = None, scale: float = 1.0) -> bool:
-    """Float stand-in for exact tangency: gap below a tolerance.
-
-    Float equality against zero is meaningless, so callers choose a relative
-    tolerance; the default is FLOAT_TANGENCY_RTOL at the family scale.
-    """
-    if tol is None:
-        tol = FLOAT_TANGENCY_RTOL * scale
-    return delta_gap(x, y) < tol
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,8 @@ class TangencyPairSet:
 
     pairs has shape (m, 2) with i < j sorted lexicographically. delta is the
     gap threshold used (0 for the exact path). by_distance, when filled,
-    partitions the pairs by the dyadic scale of their R^3 distance.
+    partitions the pairs by the dyadic scale of their R^3 distance, and the
+    pair file ends with one "# bucket D=... n=..." line per scale.
     """
 
     pairs: np.ndarray
@@ -75,6 +76,9 @@ class TangencyPairSet:
                 f"{i} {j} {d!r} {abs(math.hypot(dx, dy) - abs(dz))!r}\n"
                 for (i, j), (dx, dy, dz), d in zip(pairs.tolist(), diff.tolist(), dists.tolist())
             ))
+        blocks.extend(
+            f"# bucket D={D!r} n={arr.shape[0]}\n" for D, arr in sorted((self.by_distance or {}).items())
+        )
         return "".join(blocks)
 
 

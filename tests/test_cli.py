@@ -1,6 +1,9 @@
 """End-to-end tests of the command-line interface and its exit-code contract."""
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,6 +137,37 @@ class TestCount:
         run_cli("generate", "--kind", "clamshell", "--N", "5", "-o", str(fam))
         assert run_cli("count", "--family", str(fam)) == 2
 
+    def test_pair_files_with_bucket_lines(self, tmp_path):
+        near, exact = tmp_path / "near.txt", tmp_path / "int.txt"
+        near.write_text("# generator=x\n0.25 0.0 1.25\n0.5 0.0 1.5\n0.75 0.0 1.75\n1.0 0.0 2.0\n")
+        exact.write_text("# generator=x\n# integer=1 n=5\n0 0 1\n1 0 2\n0 1 2\n3 4 6\n0 0 3\n")
+        near_pairs = (
+            "# family_hash=af2ef6786cbbf2c8 delta=0.2 n_pairs=6\n"
+            "0 1 0.3535533905932738 0.0\n0 2 0.7071067811865476 0.0\n"
+            "0 3 1.0606601717798212 0.0\n1 2 0.3535533905932738 0.0\n"
+            "1 3 0.7071067811865476 0.0\n2 3 0.3535533905932738 0.0\n"
+        )
+        exact_pairs = (
+            "# family_hash=cc30c5b9932600ab delta=0.0 n_pairs=5\n"
+            "0 1 1.4142135623730951 0.0\n0 2 1.4142135623730951 0.0\n"
+            "0 3 7.0710678118654755 0.0\n1 4 1.4142135623730951 0.0\n"
+            "2 4 1.4142135623730951 0.0\n"
+        )
+        expected = {
+            ("--delta", "0.2", "--bin"):
+                near_pairs + "# bucket D=0.25 n=3\n# bucket D=0.5 n=2\n# bucket D=1.0 n=1\n",
+            ("--delta", "0.2", "--oracle", "--bin"):
+                near_pairs + "# bucket D=0.25 n=3\n# bucket D=0.5 n=2\n# bucket D=1.0 n=1\n",
+            ("--exact", "--bin"): exact_pairs + "# bucket D=1.0 n=4\n# bucket D=4.0 n=1\n",
+            ("--delta", "0.2"): near_pairs,
+            ("--exact",): exact_pairs,
+        }
+        out = tmp_path / "pairs.txt"
+        for flags, text in expected.items():
+            fam = exact if "--exact" in flags else near
+            assert run_cli("count", "--family", str(fam), *flags, "-o", str(out)) == 0
+            assert out.read_text() == text
+
 
 class TestPlanksCommand:
     def test_enumeration_with_richness(self, tmp_path, capsys):
@@ -163,6 +197,15 @@ class TestExperimentCommand:
         assert run_cli("experiment", "--config", str(cfg), "--out", str(out)) == 0
         assert (out / "chernoff.csv").exists()
         assert (out / "rectangle_bound.json").exists()
+
+    def test_nan_slope_gate_is_misuse(self, tmp_path, capsys):
+        # slope <= nan is false, which would read as a failed gate
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[rectangle_bound]\nR = 64,128\nslope_gate = nan\n")
+        out = tmp_path / "o"
+        assert run_cli("experiment", "--config", str(cfg), "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith("error: slope_gate:")
+        assert not list(out.glob("*.csv"))
 
     def test_gate_failure_exit_1(self, tmp_path):
         cfg = tmp_path / "cfg.ini"
@@ -406,3 +449,13 @@ class TestPlotdata:
         bad = tmp_path / "bad.csv"
         bad.write_text("# provenance=x\nfoo,bar\n1,2\n")
         assert run_cli("plotdata", "--report", str(bad), "-o", str(tmp_path / "z")) == 2
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy is there for cKDTree only; scipy.stats would load with every CLI run
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = "import sys, tangencylab.cli; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"

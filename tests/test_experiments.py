@@ -69,6 +69,66 @@ class TestScalingSweep:
             ex.scaling_sweep([2, 2, 2], [1, 2, 3])
 
 
+def _assert_fit_is_linregress(xs, ys):
+    """scaling_sweep equals scipy.stats.linregress on the log-log data, bit for bit."""
+    fit = ex.scaling_sweep(xs, ys)
+    ref = sstats.linregress(
+        np.log(np.asarray(xs, dtype=float)), np.log(np.maximum(np.asarray(ys, dtype=float), 1e-300))
+    )
+    got = (repr(fit.slope), repr(fit.intercept), repr(fit.r_squared))
+    assert got == (repr(float(ref.slope)), repr(float(ref.intercept)), repr(float(ref.rvalue**2)))
+    return fit
+
+
+class TestSweepMatchesLinregress:
+    def test_random_sweeps(self):
+        rng = np.random.default_rng(2024)
+        cases = 0
+        while cases < 2400:
+            n = int(rng.integers(2, 13))
+            xs = np.exp(rng.uniform(-5.0, 10.0, n))
+            if np.unique(xs).size < 2:
+                continue
+            ys = np.exp(rng.normal(0.0, 3.0, n))
+            kind = cases % 4
+            if kind == 1:
+                ys[rng.random(n) < 0.4] = 0.0
+            elif kind == 2:
+                ys[:] = ys[0]
+            elif kind == 3:
+                xs = np.round(xs) + 1.0
+                if np.unique(xs).size < 2:
+                    continue
+            _assert_fit_is_linregress(xs, ys)
+            cases += 1
+
+    @pytest.mark.parametrize("xs, ys", [
+        ([1, 2], [3, 7]),
+        ([2, 1], [5, 5]),
+        ([1e-3, 1e3], [0, 4]),
+        ([64, 128], [0.25, 0.125]),
+    ])
+    def test_two_points(self, xs, ys):
+        _assert_fit_is_linregress(xs, ys)
+
+    @pytest.mark.parametrize("ys", [[3.5] * 4, [0.0] * 4])
+    def test_constant_y_has_nan_r_squared(self, ys):
+        fit = _assert_fit_is_linregress([1, 2, 4, 8], ys)
+        assert fit.slope == 0.0 and math.isnan(fit.r_squared)
+
+    @pytest.mark.parametrize("ys", [[0, 1, 0, 5], [2, 0, 3, 0, 7], [0, 0, 1e-9]])
+    def test_zero_y_at_some_points(self, ys):
+        _assert_fit_is_linregress([1, 2, 4, 8, 16][:len(ys)], ys)
+
+    def test_rich_planks_ratios(self):
+        # the [rectangle_bound] ratios at R = 256, 512, 1024 (rho = sqrt R, K = 2)
+        ratios = [0.40126435267776994, 0.4405573164761421, 0.4189326270468272]
+        fit = _assert_fit_is_linregress([256, 512, 1024], ratios)
+        assert (fit.slope, fit.intercept, fit.r_squared) == (
+            0.03108262562858446, -1.0615350845705525, 0.2123228640629452
+        )
+
+
 class TestChernoff:
     def test_exact_tails_match_scipy(self):
         for n, p in [(100, 0.05), (100, 0.1), (1000, 0.01)]:
@@ -94,6 +154,18 @@ class TestChernoff:
             ex.chernoff_tails(0, 0.5, 10)
         with pytest.raises(ValidationError):
             ex.chernoff_tails(10, 1.5, 10)
+
+    @pytest.mark.parametrize("n, p, trials, name", [
+        (0, 0.5, 10, "n"),
+        (10, 0.0, 10, "p"),
+        (10, 1.0, 10, "p"),
+        (10, 1.5, 10, "p"),
+        (10, math.nan, 10, "p"),
+        (10, 0.5, 0, "trials"),
+    ])
+    def test_refusal_names_parameter(self, n, p, trials, name):
+        with pytest.raises(ValidationError, match=f"^{name}: "):
+            ex.chernoff_tails(n, p, trials)
 
     def test_zero_tail_beyond_support(self):
         eu, _ = ex.exact_binomial_tails(100, Fraction(1, 10))

@@ -118,19 +118,6 @@ class TestExactTangency:
             assert delta_gap(xf, yf) < 1e-6
 
 
-class TestNearTangent:
-    def test_default_tolerance_scales(self):
-        from tangencylab.geometry import is_near_tangent
-
-        x, y = C(0.0, 0.0, 1.0), C(1.0 + 1e-12, 0.0, 2.0)
-        assert is_near_tangent(x, y)
-        assert not is_near_tangent(x, C(1.01, 0.0, 2.0))
-        # at scale 1000 the same relative perturbation still counts
-        assert is_near_tangent(
-            C(0.0, 0.0, 1000.0), C(1000.0 + 1e-9, 0.0, 2000.0), scale=1000.0
-        )
-
-
 class TestPlankAxes:
     def test_axes_at_zero(self):
         f = plank_axes(0.0)
