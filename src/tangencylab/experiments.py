@@ -118,15 +118,16 @@ class SweepFit:
 def scaling_sweep(xs, ys) -> SweepFit:
     """Least-squares slope of log(y) against log(x).
 
-    Raises DegenerateSweepError when the abscissae carry no spread. A zero
+    Raises DegenerateSweepError when an abscissa is not finite and positive,
+    or when their logs carry no spread: distinct x can share a log. A zero
     or constant observable fits slope 0 by convention of the log transform
     applied to max(y, tiny). The arithmetic is that of scipy's linregress, so
     the fit matches it bit for bit.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    if xs.size < 2 or np.unique(xs).size < 2:
-        raise DegenerateSweepError("sweep needs at least two distinct abscissae")
+    if not np.all((xs > 0) & (xs < np.inf)) or np.unique(np.log(xs)).size < 2:
+        raise DegenerateSweepError("sweep needs finite positive abscissae with two distinct logs")
     lx = np.log(xs)
     ly = np.log(np.maximum(ys, 1e-300))
     ssxm, ssxym, _, ssym = np.cov(lx, ly, bias=1).flat

@@ -37,15 +37,16 @@ lengths.
 
 The pattern scan and the richness count ask a center grid one question:
 which cells have their center within a per-axis window of a point.
-`_window_cells` lists the cells, scanning the offsets -r..r around the
-nearest cell, r = floor(max(w / s) + 1/2), which is exact: no cell farther
-than that lies in the window. `_kept` keeps the cells inside the slice's
-row extents and not rejected. The pattern scan asks it of plank centers
-with the widened containment window, which is below half a spacing, so
-r = 0; the richness count asks it of family points with
-geometry.point_window. Membership is point_window everywhere: the direct
-scan and the grid snap apply the same window to the same offsets, so they
-agree on points that lie on a plank's faces.
+`_window_cells` lists the cells one axis at a time, narrowest window share
+first, taking on each axis the offsets -r..r around the nearest cell,
+r = floor(w / s + 1/2), which is exact: no cell farther lies in the window.
+`_kept` keeps the cells inside the row extents and not rejected, and gives
+each its dense id in the slice. The pattern scan asks it of plank centers
+with the widened containment window, below half a spacing, so r = 0; the
+richness count asks it of family points with geometry.point_window, and
+counts by a bincount over ids. Membership is point_window everywhere: the
+direct scan and the grid snap apply the same window to the same offsets, so
+they agree on points that lie on a plank's faces.
 """
 
 from __future__ import annotations
@@ -108,21 +109,36 @@ class _RowExtents:
     a_lo: np.ndarray  # (rows along b, rows along c), int64
     a_hi: np.ndarray
 
+    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(first dense id, cell count) of each row, rows in row-major order."""
+        lengths = np.maximum(self.a_hi - self.a_lo + 1, 0).ravel()
+        return np.cumsum(lengths) - lengths, lengths
+
     @property
     def n_cells(self) -> int:
-        return int(np.maximum(self.a_hi - self.a_lo + 1, 0).sum())
+        return int(self._rows()[1].sum())
 
-    def contains(self, idx: np.ndarray) -> np.ndarray:
-        """Mask of the grid indices (n, 3) that are box-meeting cells."""
+    def cell_ids(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(mask, dense id) of grid indices (n, 3): which are box-meeting cells, and their ids.
+
+        Cell (a, b, c) of row r = (b, c) has id start[r] + a - a_lo[r]; others get id 0.
+        """
         nb, nc = self.a_lo.shape
-        i = idx[:, 1] - self.origin[0]
-        k = idx[:, 2] - self.origin[1]
+        i, k = idx[:, 1] - self.origin[0], idx[:, 2] - self.origin[1]
         inside = (i >= 0) & (i < nb) & (k >= 0) & (k < nc)
-        if not inside.any():
-            return inside
-        i, k = np.where(inside, i, 0), np.where(inside, k, 0)
-        a = idx[:, 0]
-        return inside & (self.a_lo[i, k] <= a) & (a <= self.a_hi[i, k])
+        row = np.where(inside, i * nc + k, 0)
+        a = idx[:, 0] - self.a_lo.ravel()[row]
+        starts, lengths = self._rows()
+        inside &= (a >= 0) & (a < lengths[row])
+        return inside, np.where(inside, starts[row] + a, 0)
+
+    def cells(self, ids: np.ndarray) -> np.ndarray:
+        """Grid indices (n, 3) of dense cell ids: the inverse of cell_ids."""
+        starts = self._rows()[0]
+        row = np.searchsorted(starts, ids, side="right") - 1
+        b, c = np.divmod(row, self.a_lo.shape[1])
+        a = self.a_lo.ravel()[row] + ids - starts[row]
+        return np.column_stack([a, b + self.origin[0], c + self.origin[1]])
 
 
 @dataclass
@@ -170,7 +186,7 @@ class PlankCollection:
         """Kept cells of slice j: (packed keys, grid indices, world centers)."""
         spec = self.slices[j]
         keys, idx, centers = _grid_sat_cells(spec.extents, spec.frame, self.spacing)
-        keep = _kept(spec, idx)
+        keep = _kept(spec, idx)[0]
         return keys[keep], idx[keep], centers[keep]
 
     def iter_slices(self):
@@ -406,32 +422,37 @@ def _window_cells(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(row, grid index) of every center-grid cell whose center is in_window of a point.
 
-    coords are points (n, 3) in the grid's frame. On each axis a cell within
-    the window lies at most w / s + 1/2 cells from the nearest one, so the
-    offsets -r..r around it, r = floor(max(w / s) + 1/2), hold every such
-    cell. in_window's test |c - k s| <= w is taken per axis and offset, and a
-    cell passes when its three axes do; a negative axis admits none.
-    Distinct offsets give distinct cells, so each (row, cell) is listed once.
+    coords are points (n, 3) in the grid's frame. The axes are tested one at
+    a time, narrowest share w / s first (ties in axis order), each later one
+    only on the (row, cell) pairs that passed the earlier ones. On an axis a
+    cell within the window lies at most w / s + 1/2 cells from the nearest
+    one, so the offsets -r..r around it, r = floor(w / s + 1/2), hold every
+    such cell. in_window's test |c - k s| <= w is taken per axis and offset;
+    a negative axis admits none. Each (row, cell) is listed once.
     """
-    r = max(int(math.floor(np.max(window / spacing) + 0.5 + 1e-9)), 0)
-    off = np.arange(-r, r + 1, dtype=float)
-    near = np.rint(coords / spacing)
-    d = coords - (near + off[:, None, None]) * spacing  # (offset, point, axis)
-    ok = np.abs(d, out=d) <= window
-    hit = ok[:, None, None, :, 0] & ok[None, :, None, :, 1] & ok[None, None, :, :, 2]
-    cell, row = np.nonzero(hit.reshape(off.size**3, coords.shape[0]))
-    steps = np.stack(np.meshgrid(off, off, off, indexing="ij"), axis=-1).reshape(-1, 3)
-    return row, (near[row] + steps[cell]).astype(np.int64)
+    row, idx = None, {}
+    for ax in np.argsort(window / spacing, kind="stable").tolist():
+        s, w = spacing[ax], window[ax]
+        r = max(int(math.floor(w / s + 0.5 + 1e-9)), 0)
+        c = coords[:, ax] if row is None else coords[row, ax]
+        near = np.rint(c / s)
+        hits = [np.flatnonzero(np.abs(c - (near + off) * s) <= w) for off in range(-r, r + 1)]
+        t = np.concatenate(hits)
+        row, idx = t if row is None else row[t], {a: col[t] for a, col in idx.items()}
+        idx[ax] = near[t] + np.repeat(np.arange(-r, r + 1), [h.size for h in hits])
+    return row, np.column_stack([idx[0], idx[1], idx[2]]).astype(np.int64)
 
 
-def _kept(spec: _SliceSpec, idx: np.ndarray) -> np.ndarray:
-    """Mask of the grid indices (n, 3) that are kept planks of the slice."""
-    kept = spec.extents.contains(idx)
+def _kept(spec: _SliceSpec, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mask, dense id) of the grid indices (n, 3) that are kept planks of the slice."""
+    kept, ids = spec.extents.cell_ids(idx)
     if spec.rejected.size and kept.any():
-        keys = _pack_idx(idx[kept])
-        pos = np.minimum(np.searchsorted(spec.rejected, keys), spec.rejected.size - 1)
-        kept[kept] = spec.rejected[pos] != keys
-    return kept
+        # a mask over the slice's ids, built per call: kept on the collection,
+        # it would hold a byte per candidate of every slice at once
+        keep = np.ones(spec.n_sat, dtype=bool)
+        keep[spec.extents.cell_ids(_unpack_idx(spec.rejected))[1]] = False
+        kept &= keep[ids]
+    return kept, ids
 
 
 # Domain cells are scanned for the comparability patterns this many at a time.
@@ -492,7 +513,7 @@ class _Pattern:
         last = np.searchsorted(self.v_keys, rows[1], side="right")
         _, pos = expand_ranges(np.arange(first.size), first, last)
         u = _unpack_idx(self.u_keys[pos])
-        kept = _kept(u_spec, u)
+        kept = _kept(u_spec, u)[0]
         v, u = _unpack_idx(self.v_keys[pos[kept]])[:, [2, 0, 1]], u[kept]
         # the exact test: the inner plank lies in the K-dilation of the outer
         # one exactly when its center, in the outer frame, is in_window
@@ -616,7 +637,7 @@ def richness(plank: Lightplank, family: CircleFamily, K: float = 1.0) -> int:
 def _assign_points(
     coll: PlankCollection, j: int, pts: np.ndarray, K_rich: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(point index, packed plank key) incidences for slice j.
+    """(point index, dense plank id) incidences for slice j.
 
     The cells whose point_window(hw, K_rich) holds a point are its
     _window_cells on the slice's center grid, each listed once; those that
@@ -627,14 +648,23 @@ def _assign_points(
     row, cells = _window_cells(
         pts @ spec.frame.matrix().T, coll.spacing, point_window(coll.half_widths, K_rich)
     )
-    kept = _kept(spec, cells)
-    return row[kept], _pack_idx(cells[kept])
+    kept, ids = _kept(spec, cells)
+    return row[kept], ids[kept]
+
+
+def _planks_by_key(spec: _SliceSpec, ids: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(packed keys, point counts, ids) of the planks the incidence ids reach, in key order."""
+    counts = np.bincount(ids)
+    held = np.flatnonzero(counts)
+    keys = _pack_idx(spec.extents.cells(held))
+    order = np.argsort(keys)
+    return keys[order], counts[held[order]], held[order]
 
 
 def slice_counts(coll: PlankCollection, pts: np.ndarray, K_rich: float):
     """Per slice, (sorted packed keys, point counts) of the planks holding a point."""
-    for j in range(len(coll.slices)):
-        yield np.unique(_assign_points(coll, j, pts, K_rich)[1], return_counts=True)
+    for j, spec in enumerate(coll.slices):
+        yield _planks_by_key(spec, _assign_points(coll, j, pts, K_rich)[1])[:2]
 
 
 def slice_incidences(coll: PlankCollection, pts: np.ndarray, K_rich: float):
@@ -644,10 +674,12 @@ def slice_incidences(coll: PlankCollection, pts: np.ndarray, K_rich: float):
     decided one at a time, so a subset of pts holds, per plank, the sum of
     its 0/1 mask over the plank's rows.
     """
-    for j in range(len(coll.slices)):
-        row, keys = _assign_points(coll, j, pts, K_rich)
-        counts = np.unique(keys, return_counts=True)[1]
-        yield counts.astype(np.int32), row[np.argsort(keys)].astype(np.int32)
+    for j, spec in enumerate(coll.slices):
+        row, ids = _assign_points(coll, j, pts, K_rich)
+        _, counts, held = _planks_by_key(spec, ids)
+        rank = np.empty(spec.n_sat, dtype=np.int64)
+        rank[held] = np.arange(held.size)
+        yield counts.astype(np.int32), row[np.argsort(rank[ids])].astype(np.int32)
 
 
 @dataclass
@@ -687,8 +719,11 @@ def mu_buckets(coll: PlankCollection, family: CircleFamily, K: float = 1.0) -> R
     """Bucket every plank of the collection by dyadic richness against X."""
     buckets: dict[int, int] = {}
     n_rich = max_rich = 0
-    for keys, counts in slice_counts(coll, family.points.astype(float), K):
-        n_rich += keys.size
+    pts = family.points.astype(float)
+    for j in range(len(coll.slices)):
+        counts = np.bincount(_assign_points(coll, j, pts, K)[1])
+        counts = counts[counts > 0]
+        n_rich += counts.size
         max_rich = max(max_rich, int(counts.max(initial=0)))
         add_dyadic_counts(buckets, counts)
     return RichnessTable(mu_buckets=buckets, n_rich=n_rich, max_richness=max_rich)

@@ -68,6 +68,16 @@ class TestScalingSweep:
         with pytest.raises(DegenerateSweepError):
             ex.scaling_sweep([2, 2, 2], [1, 2, 3])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("xs", [
+        [1e300, np.nextafter(1e300, np.inf)],  # distinct x, one log
+        [1e200, np.nextafter(1e200, np.inf), 1e200],
+        [0.0, 1.0], [-1.0, 2.0], [1.0, np.inf], [np.nan, 1.0, 2.0], [1.0], [],
+    ])
+    def test_no_log_spread_or_bad_abscissa_refused(self, xs):
+        with pytest.raises(DegenerateSweepError):
+            ex.scaling_sweep(xs, np.arange(1.0, len(xs) + 1.0))
+
 
 def _assert_fit_is_linregress(xs, ys):
     """scaling_sweep equals scipy.stats.linregress on the log-log data, bit for bit."""

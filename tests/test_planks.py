@@ -1,6 +1,7 @@
 """Tests of plank enumeration, richness counting, bucketing, and lifting."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from tangencylab.geometry import (
     plank_axes,
     plank_comparable,
     plank_contains,
+    point_window,
     range_blocks,
     rotate_plank_z,
     tangency_point,
@@ -71,6 +73,7 @@ from tangencylab.planks import (
     rect_planks,
     richness,
     slice_counts,
+    slice_incidences,
     verify_pairwise_incomparable,
 )
 
@@ -237,10 +240,15 @@ def _assert_row_extents_match(frame, spacing, hw, box, check_contains=False):
     if check_contains:
         grid = _bounding_grid(frame, spacing, hw, box)
         member = np.isin(_pack_idx(grid), want[0])
-        np.testing.assert_array_equal(ext.contains(grid), member)
+        np.testing.assert_array_equal(ext.cell_ids(grid)[0], member)
         lo, hi = grid.min(axis=0), grid.max(axis=0)
         for shift in ([1, 0, 0], [0, 1, 0], [0, 0, 1]):  # cells past the grid bounds
-            assert not ext.contains(np.vstack([lo - shift, hi + shift])).any()
+            assert not ext.cell_ids(np.vstack([lo - shift, hi + shift]))[0].any()
+        # the cells' ids are 0..n_cells-1, each once, and cells() inverts them
+        inside, ids = ext.cell_ids(want[1])
+        assert inside.all() and ext.n_cells == want[1].shape[0]
+        np.testing.assert_array_equal(np.sort(ids), np.arange(ext.n_cells))
+        np.testing.assert_array_equal(ext.cells(ids), want[1])
     return got[0].size
 
 
@@ -426,7 +434,7 @@ def _scan_enumeration(R, S, K, box):
             u = specs[j2]
             window = containment_window(frame.theta - u.frame.theta, hw, K)
             row, cells = _window_cells(centers @ u.frame.matrix().T, spacing, window)
-            kept_u = u.extents.contains(cells) & ~np.isin(_pack_idx(cells), u.rejected)
+            kept_u = u.extents.cell_ids(cells)[0] & ~np.isin(_pack_idx(cells), u.rejected)
             hits[row[kept_u]] = True
             _, cells = _window_cells(kept[j2] @ frame.matrix().T, spacing, window)
             hits |= np.isin(keys, _pack_idx(cells))
@@ -531,8 +539,26 @@ class TestPatternEnumeration:
         assert worst < m / 1000
 
 
+def _window_cells_3d(coords, spacing, window):
+    """The window kernel in its 3-D form: every offset triple of every point at once.
+
+    The offsets -r..r around the nearest cell, r = floor(max(w / s) + 1/2),
+    are tested on every axis of every point, and a cell passes when its
+    three axes do.
+    """
+    r = max(int(math.floor(np.max(window / spacing) + 0.5 + 1e-9)), 0)
+    off = np.arange(-r, r + 1, dtype=float)
+    near = np.rint(coords / spacing)
+    d = coords - (near + off[:, None, None]) * spacing  # (offset, point, axis)
+    ok = np.abs(d, out=d) <= window
+    hit = ok[:, None, None, :, 0] & ok[None, :, None, :, 1] & ok[None, None, :, :, 2]
+    cell, row = np.nonzero(hit.reshape(off.size**3, coords.shape[0]))
+    steps = np.stack(np.meshgrid(off, off, off, indexing="ij"), axis=-1).reshape(-1, 3)
+    return row, (near[row] + steps[cell]).astype(np.int64)
+
+
 class TestWindowCells:
-    """_window_cells against a scan of every cell around each point."""
+    """_window_cells against a scan of every cell around each point, and the 3-D kernel."""
 
     @staticmethod
     def _scan(coords, spacing, window):
@@ -547,8 +573,30 @@ class TestWindowCells:
                 found.add((row, *k.tolist()))
         return found
 
+    @staticmethod
+    def _points(rng, spacing, window):
+        """Uniform points of both signs, points at a cell center or exactly a window
+        away from it per axis, and the cell centers themselves (the last 60 rows)."""
+        k = rng.integers(-20, 21, (60, 3))
+        on_grid = k * spacing + rng.choice([-1.0, 0.0, 1.0], (60, 3)) * window
+        coords = np.vstack([rng.uniform(-30.0, 30.0, (120, 3)) * spacing, on_grid, k * spacing])
+        return coords, k
+
+    @classmethod
+    def _assert_matches(cls, coords, spacing, window):
+        """The kernel's (row, cell) pairs are listed once each and equal both oracles'."""
+        row, cells = _window_cells(coords, spacing, window)
+        assert row.dtype == np.int64 == cells.dtype and cells.shape == (row.size, 3)
+        got = list(zip(row.tolist(), *cells.T.tolist()))
+        assert len(set(got)) == len(got)
+        row3, cells3 = _window_cells_3d(coords, spacing, window)
+        assert set(got) == set(zip(row3.tolist(), *cells3.T.tolist()))
+        assert set(got) == cls._scan(coords, spacing, window)
+        return set(got)
+
+    # 0.25 is K_rich = 1 on K = 2: the richness window of the benchmark
     @pytest.mark.parametrize(
-        "ratio", [0.1, np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0), 1.0, 1.7]
+        "ratio", [0.1, 0.25, np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0), 1.0, 1.7]
     )
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_cell_scan(self, ratio, seed):
@@ -557,25 +605,45 @@ class TestWindowCells:
         window = ratio * spacing * rng.choice([1.0, rng.uniform(0.2, 1.0)], 3)
         axis = rng.integers(0, 3)
         window[axis] = ratio * spacing[axis]
-        # points at a cell center or exactly a window away from it, per axis
-        k = rng.integers(-20, 21, (60, 3))
-        on_grid = k * spacing + rng.choice([-1.0, 0.0, 1.0], (60, 3)) * window
-        coords = np.vstack([rng.uniform(-30.0, 30.0, (120, 3)) * spacing, on_grid, k * spacing])
-        row, cells = _window_cells(coords, spacing, window)
-        got = list(zip(row.tolist(), *cells.T.tolist()))
-        assert len(set(got)) == len(got)
-        assert set(got) == self._scan(coords, spacing, window)
-        assert {(180 + t, *k[t].tolist()) for t in range(60)} <= set(got)
+        coords, k = self._points(rng, spacing, window)
+        got = self._assert_matches(coords, spacing, window)
+        assert {(180 + t, *k[t].tolist()) for t in range(60)} <= got
+
+    @pytest.mark.parametrize("ratio", [0.1, 0.25, 0.5, 1.0])
+    @pytest.mark.parametrize("narrow", [0, 1, 2])
+    def test_each_axis_narrowest_first(self, narrow, ratio):
+        # the kernel tests the narrowest share first; each axis in turn is it
+        rng = np.random.default_rng(20 + narrow)
+        spacing = rng.uniform(0.3, 40.0, 3)
+        window = ratio * spacing * np.array([1.3, 1.6, 1.9])
+        window[narrow] = ratio * spacing[narrow]
+        assert np.argsort(window / spacing, kind="stable")[0] == narrow
+        coords, k = self._points(rng, spacing, window)
+        got = self._assert_matches(coords, spacing, window)
+        assert {(180 + t, *k[t].tolist()) for t in range(60)} <= got
 
     def test_negative_axis_admits_nothing(self):
+        # each axis in turn is negative, and so the narrowest
         rng = np.random.default_rng(3)
         spacing = np.array([2.0, 5.0, 11.0])
-        window = np.array([1.5, -0.5, 7.0])
         coords = rng.uniform(-20.0, 20.0, (200, 3)) * spacing
         coords[:50] = rng.integers(-5, 6, (50, 3)) * spacing  # on cell centers
-        row, cells = _window_cells(coords, spacing, window)
-        assert row.size == 0 and cells.shape == (0, 3)
-        assert self._scan(coords, spacing, window) == set()
+        for negative in range(3):
+            window = np.array([1.5, 3.0, 7.0])
+            window[negative] = -0.5
+            row, cells = _window_cells(coords, spacing, window)
+            assert row.size == 0 and cells.shape == (0, 3)
+            assert self._assert_matches(coords, spacing, window) == set()
+
+    def test_no_points(self):
+        row, cells = _window_cells(np.empty((0, 3)), np.ones(3), np.full(3, 0.7))
+        assert row.shape == (0,) and cells.shape == (0, 3)
+
+
+def _assigned_keys(coll, j, pts, K_rich):
+    """_assign_points' incidences of slice j as (point index, packed plank key)."""
+    pt_ids, ids = _assign_points(coll, j, pts, K_rich)
+    return pt_ids, _pack_idx(coll.slices[j].extents.cells(ids))
 
 
 def _slice_members(coll, fam, K_rich):
@@ -650,7 +718,7 @@ class TestRichness:
         fam = CircleFamily(np.vstack(pts), 16.0, 0.0, cube_box(16), {})
         n_incidences = 0
         for j in range(len(coll.slices)):
-            pt_ids, keys = _assign_points(coll, j, fam.points, K_rich)
+            pt_ids, keys = _assigned_keys(coll, j, fam.points, K_rich)
             ks, _, centers = coll.slice_cells(j)
             assert np.isin(keys, ks).all()
             uniq, counts = np.unique(keys, return_counts=True)
@@ -672,7 +740,7 @@ class TestRichness:
             pick = centers[rng.integers(0, len(centers), 30)]
             signs = rng.choice([-1.0, 1.0], (30, 3))
             pts = pick + (signs * window) @ coll.slices[j].frame.matrix()
-            pt_ids, keys = _assign_points(coll, j, pts, K_rich)
+            pt_ids, keys = _assigned_keys(coll, j, pts, K_rich)
             pairs = np.column_stack([pt_ids, keys])
             assert np.unique(pairs, axis=0).shape[0] == pairs.shape[0] > 0
 
@@ -697,7 +765,7 @@ class TestRichness:
         pts = centers[pick] + (signs * (K_rich * coll.half_widths)) @ U
         fam = CircleFamily(pts, 16.0, 0.0, cube_box(16), {})
 
-        pt_ids, keys = _assign_points(coll, j, pts, K_rich)
+        pt_ids, keys = _assigned_keys(coll, j, pts, K_rich)
         assigned = dict(zip(*(a.tolist() for a in np.unique(keys, return_counts=True))))
         reach = np.linalg.norm(K_rich * coll.half_widths) * (1 + 1e-6) + 1e-6
         for k, c in zip(ks.tolist(), centers):
@@ -770,6 +838,98 @@ class TestMuBuckets:
             orig = sorted(richness(P, fam, K=1.0) for P in planks)
             rot = sorted(richness(rotate_plank_z(P, phi), rfam, K=1.0) for P in planks)
             assert orig == rot
+
+
+def _packed_key_assign(coll, j, pts, K_rich):
+    """The point-to-plank pass by packed keys: (point index, packed key) incidences.
+
+    The 3-D window kernel lists the cells; a cell is kept when its row
+    extent holds it and a search of the slice's sorted rejected keys misses
+    it. Counting by np.unique over the keys gives planks in key order.
+    """
+    spec, ext = coll.slices[j], coll.slices[j].extents
+    row, cells = _window_cells_3d(
+        pts @ spec.frame.matrix().T, coll.spacing, point_window(coll.half_widths, K_rich)
+    )
+    nb, nc = ext.a_lo.shape
+    i, k = cells[:, 1] - ext.origin[0], cells[:, 2] - ext.origin[1]
+    kept = (i >= 0) & (i < nb) & (k >= 0) & (k < nc)
+    i, k = np.where(kept, i, 0), np.where(kept, k, 0)
+    kept &= (ext.a_lo[i, k] <= cells[:, 0]) & (cells[:, 0] <= ext.a_hi[i, k])
+    keys = _pack_idx(cells[kept])
+    if spec.rejected.size:
+        pos = np.minimum(np.searchsorted(spec.rejected, keys), spec.rejected.size - 1)
+        hit = spec.rejected[pos] != keys
+        kept[kept] = hit
+        keys = keys[hit]
+    return row[kept], keys
+
+
+@pytest.fixture(scope="module", params=[(256, "cube"), (256, "annular"), (512, "cube"), (512, "annular")])
+def rich_case(request):
+    """A collection at S = R and the rho = sqrt(R) grid of its box."""
+    R, box_name = request.param
+    coll = enumerate_incomparable(R, S=R, K=2.0, box=BOXES[box_name](R))
+    return coll, gen_maximal_separated(R, math.sqrt(R), box_name).points.astype(float)
+
+
+class TestPackedKeyPath:
+    """slice_counts, slice_incidences and mu_buckets against the pass by packed keys."""
+
+    @pytest.mark.parametrize("K_rich", [1.0, 2.0, 3.0])
+    def test_slice_outputs_equal_packed_key_path(self, rich_case, K_rich):
+        coll, pts = rich_case
+        counted = incidences = 0
+        for j, (keys, counts), (inc_counts, rows) in zip(
+            range(len(coll.slices)), slice_counts(coll, pts, K_rich),
+            slice_incidences(coll, pts, K_rich),
+        ):
+            want_rows, want_keys = _packed_key_assign(coll, j, pts, K_rich)
+            uniq, n = np.unique(want_keys, return_counts=True)
+            assert keys.dtype == uniq.dtype and counts.dtype == n.dtype
+            np.testing.assert_array_equal(keys, uniq)
+            np.testing.assert_array_equal(counts, n)
+            assert inc_counts.dtype == rows.dtype == np.int32
+            np.testing.assert_array_equal(inc_counts, n)
+            # the same rows per plank: (plank, row) pairs, each listed once, sorted
+            plank = np.repeat(np.arange(n.size), n)
+            want_rows = want_rows[np.argsort(want_keys, kind="stable")]
+            for r in (rows, want_rows):
+                r[:] = r[np.lexsort((r, plank))]
+            np.testing.assert_array_equal(rows, want_rows)
+            counted += keys.size
+            incidences += rows.size
+        assert counted > 1000 and incidences > counted
+
+    # the literal tables of the rich_planks workload's first two scales
+    @pytest.mark.parametrize("R, buckets, n_rich, max_richness", [
+        (256, {1: 33514, 2: 11739, 4: 1770, 8: 478}, 47_501, 12),
+        (512, {1: 123286, 2: 40147, 4: 5608, 8: 1599, 16: 357}, 170_997, 17),
+    ])
+    def test_mu_tables_pinned(self, R, buckets, n_rich, max_richness):
+        coll = enumerate_incomparable(R, S=R, K=2.0)
+        fam = gen_maximal_separated(R, math.sqrt(R))
+        table = mu_buckets(coll, fam, K=1.0)
+        assert (table.mu_buckets, table.n_rich, table.max_richness) == (buckets, n_rich, max_richness)
+        want: dict[int, int] = {}
+        for j in range(len(coll.slices)):
+            add_dyadic_counts(want, np.unique(_packed_key_assign(coll, j, fam.points, 1.0)[1],
+                                              return_counts=True)[1])
+        assert want == buckets
+
+    def test_mu_buckets_memory(self):
+        # no per-slice state survives the pass: at R = 2^10, 202 slices and
+        # 32,768 points, the traced peak stays far below a slice mask per slice
+        coll = enumerate_incomparable(2**10, S=2**10, K=2.0)
+        fam = gen_maximal_separated(2**10, 2**5)
+        tracemalloc.start()
+        try:
+            table = mu_buckets(coll, fam, K=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.n_rich > 0
+        assert peak < 8e6
 
 
 class TestPairPlank:
