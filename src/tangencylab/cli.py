@@ -107,18 +107,23 @@ def _require(args, names: list[str], kind: str):
 
 
 def cmd_generate(args) -> int:
-    if args.kind == "wellspaced":
-        _require(args, ["R", "rho", "eps"], "wellspaced")
-        fam = gen_random_wellspaced(args.R, args.rho, args.eps, _env_seed(args.seed))
-    elif args.kind == "separated":
-        _require(args, ["R", "rho"], "separated")
-        fam = gen_maximal_separated(args.R, args.rho, box_kind=args.box)
-    elif args.kind == "clamshell":
-        _require(args, ["N"], "clamshell")
-        fam = gen_clamshell(args.N, integer=args.integer)
-    else:
-        _require(args, ["n"], "lattice")
-        fam = gen_integer_lattice(args.n)
+    try:
+        if args.kind == "wellspaced":
+            _require(args, ["R", "rho", "eps"], "wellspaced")
+            fam = gen_random_wellspaced(args.R, args.rho, args.eps, _env_seed(args.seed))
+        elif args.kind == "separated":
+            _require(args, ["R", "rho"], "separated")
+            fam = gen_maximal_separated(args.R, args.rho, box_kind=args.box)
+        elif args.kind == "clamshell":
+            _require(args, ["N"], "clamshell")
+            fam = gen_clamshell(args.N, integer=args.integer)
+        else:
+            _require(args, ["n"], "lattice")
+            fam = gen_integer_lattice(args.n)
+    except MemoryError as exc:
+        # a family too large for memory is a size the user asked for: misuse
+        size = {"clamshell": "N", "lattice": "n"}.get(args.kind, "R")
+        raise InvalidParamsError(f"{size}: family too large to allocate ({exc})") from exc
     fam.validate()
     fam.save(args.output)
     print(f"wrote {args.output}: n={len(fam)} hash={fam.provenance_hash()}")

@@ -14,9 +14,9 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 from .errors import DegenerateSweepError, InvalidParamsError, ValidationError
@@ -625,7 +625,7 @@ def _judged_planks(m: np.ndarray) -> tuple[np.ndarray, float]:
     """The planks on which the exact-mean window is judged, chosen before any draw.
 
     m holds m_P = p |Y intersect P| of the planks holding candidates in
-    (slice, key) order. They are taken by decreasing m_P, ties in m's order,
+    (slice, plank) order. They are taken by decreasing m_P, ties in m's order,
     while the summed tail bound e^(-5 m_P) + e^(-m_P/2) stays within
     JUDGED_TAIL_BUDGET; the bound falls as m_P grows, so this prefix is the
     largest set the budget admits. Returns the indices taken and their bound.
@@ -637,7 +637,7 @@ def _judged_planks(m: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _drawn_counts(cand: np.ndarray, incidences: list, pts: np.ndarray) -> np.ndarray:
-    """Points of pts in each plank holding candidates, flat in (slice, key) order.
+    """Points of pts in each plank holding candidates, flat in (slice, plank) order.
 
     pts are found among the candidates Y by packed key; a point that is not
     a candidate raises ValidationError. Each plank's count is then the sum
@@ -724,12 +724,12 @@ def exact_binomial_tails(n: int, p: Fraction) -> tuple[Fraction, Fraction]:
 
 
 def _leq_exp_bound(value: Fraction, exponent: float) -> bool:
-    """Whether an exact probability stays below e^exponent, via high-precision logs."""
+    """Whether an exact probability stays below e^exponent, via 60-digit logs."""
     if value == 0:
         return True
-    with mpmath.workdps(60):
-        lhs = mpmath.log(mpmath.mpf(value.numerator)) - mpmath.log(mpmath.mpf(value.denominator))
-        return bool(lhs <= mpmath.mpf(exponent))
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return Decimal(value.numerator).ln() - Decimal(value.denominator).ln() <= Decimal(exponent)
 
 
 def chernoff_tails(n: int, p: float, trials: int, seed: int = 0) -> ExperimentReport:

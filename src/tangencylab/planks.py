@@ -14,13 +14,14 @@ axis test. Along a grid row (fixed indices b, c; index a varies) every
 axis projection is linear in a, so the box-meeting cells of a row form one
 interval [a_lo, a_hi]. Each slice stores these row extents, found from the
 15 linear constraints with the per-cell test run only on the few cells
-whose rounding could decide them; listing a slice's cells and asking
-whether a cell belongs to it are then index arithmetic.
+whose rounding could decide them. A slice names a cell by its dense id
+alone, its row's start plus a - a_lo, rows in row-major order: ids run in
+(b, c, a) order, and listing cells or asking for one is index arithmetic.
 
 Collections can be huge (about R^2 planks at S = R), so a collection stores
-per-angle row extents plus the sparse rejection set instead of materialized
-boxes; slices are regenerated on demand by the same deterministic code
-path.
+per-angle row extents plus the sorted ids of rejected cells instead of
+materialized boxes; slices are regenerated on demand by the same
+deterministic code path.
 
 The greedy compares slices through comparability patterns. plank_axes(t)
 is one base frame turned by t about the vertical axis, so the frame change
@@ -30,10 +31,10 @@ on (v, u, g) alone. `_comparability_patterns` lists, once per feasible gap,
 the index pairs within the containment window widened by a margin that
 provably covers the per-slice rounding (`_pattern_margin`), in both
 directions, scanning in blocks the union of the row extents of the slices
-that the gap pairs. Each slice then runs the exact in_window test only on
-the pattern pairs in its own rows whose other end is a kept plank of slice
-j - g. No slice lists its cells; its candidate count is the sum of its row
-lengths.
+that the gap pairs, as packed keys (`_pack_idx`), since it serves every
+slice. Each slice then runs the exact in_window test only on the pattern
+pairs in its own rows whose other end is a kept plank of slice j - g. No
+slice lists its cells; its candidate count is the sum of its row lengths.
 
 The pattern scan and the richness count ask a center grid one question:
 which cells have their center within a per-axis window of a point.
@@ -78,17 +79,18 @@ from .geometry import (
 )
 from .incidence import count_ct_delta_hashed, lift_rect
 
-# Center-grid indices are signed; they are packed after this offset, so
-# each must lie in [-2^20, 2^20). Enumeration scales keep them far inside.
+# Center-grid indices (a, b, c) are packed row-major, as (b, c, a), so keys
+# sort by row and then by a. They are signed and packed after this offset,
+# so each must lie in [-2^20, 2^20). Enumeration scales keep them far inside.
 _IDX_OFFSET = 1 << 20
 
 
 def _pack_idx(idx: np.ndarray) -> np.ndarray:
-    return pack_grid_keys(idx + _IDX_OFFSET, "box")
+    return pack_grid_keys(idx[:, [1, 2, 0]] + _IDX_OFFSET, "box")
 
 
 def _unpack_idx(keys: np.ndarray) -> np.ndarray:
-    return unpack_grid_keys(keys) - _IDX_OFFSET
+    return unpack_grid_keys(keys)[:, [2, 0, 1]] - _IDX_OFFSET
 
 
 def _box_arrays(box: Box) -> tuple[np.ndarray, np.ndarray]:
@@ -126,6 +128,8 @@ class _RowExtents:
         nb, nc = self.a_lo.shape
         i, k = idx[:, 1] - self.origin[0], idx[:, 2] - self.origin[1]
         inside = (i >= 0) & (i < nb) & (k >= 0) & (k < nc)
+        if not self.a_lo.size:  # a slice that meets the box in no row has no row 0 to gather
+            return inside, np.zeros(inside.size, dtype=np.int64)
         row = np.where(inside, i * nc + k, 0)
         a = idx[:, 0] - self.a_lo.ravel()[row]
         starts, lengths = self._rows()
@@ -148,7 +152,7 @@ class _SliceSpec:
     theta: float
     frame: PlankFrame
     n_sat: int
-    rejected: np.ndarray  # sorted packed keys of greedy-rejected cells
+    rejected: np.ndarray  # sorted dense ids of greedy-rejected cells
     extents: _RowExtents
 
 
@@ -183,16 +187,15 @@ class PlankCollection:
         return sum(s.n_sat - s.rejected.size for s in self.slices)
 
     def slice_cells(self, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Kept cells of slice j: (packed keys, grid indices, world centers)."""
+        """Kept cells of slice j in (a, b, c) order: (dense ids, grid indices, world centers)."""
         spec = self.slices[j]
-        keys, idx, centers = _grid_sat_cells(spec.extents, spec.frame, self.spacing)
+        ids, idx, centers = _grid_sat_cells(spec.extents, spec.frame, self.spacing)
         keep = _kept(spec, idx)[0]
-        return keys[keep], idx[keep], centers[keep]
+        return ids[keep], idx[keep], centers[keep]
 
     def iter_slices(self):
         for j in range(len(self.slices)):
-            keys, idx, centers = self.slice_cells(j)
-            yield j, self.slices[j], keys, centers
+            yield j, self.slices[j], self.slice_cells(j)[2]
 
     def plank_at(self, j: int, center) -> Lightplank:
         return Lightplank(
@@ -201,14 +204,14 @@ class PlankCollection:
 
     def planks(self) -> list[Lightplank]:
         """Materialize every plank; intended for small collections."""
-        return [self.plank_at(j, c) for j, _, _, centers in self.iter_slices() for c in centers]
+        return [self.plank_at(j, c) for j, _, centers in self.iter_slices() for c in centers]
 
     def serialize(self) -> str:
         lines = [
             f"# K={self.K!r} S={self.S!r} A={self.A!r} B={self.B!r} n={len(self)}",
             "# box=" + ",".join(f"{lo!r}:{hi!r}" for lo, hi in self.box),
         ]
-        for j, spec, keys, centers in self.iter_slices():
+        for j, spec, centers in self.iter_slices():
             for c in centers:
                 lines.append(
                     f"{spec.theta!r} {float(c[0])!r} {float(c[1])!r} {float(c[2])!r} "
@@ -334,18 +337,18 @@ def _row_extents(frame: PlankFrame, spacing: np.ndarray, hw: np.ndarray, box: Bo
 def _grid_sat_cells(
     ext: _RowExtents, frame: PlankFrame, spacing: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All box-intersecting cells of a slice, sorted by packed key.
+    """All box-intersecting cells of a slice: (dense ids, grid indices, centers).
 
-    The cells are listed from the row extents; a stable sort on a puts them
-    in lexicographic (a, b, c) order, which is packed-key order.
+    The row extents list the cells in id order, (b, c, a); a stable sort on
+    a puts them in lexicographic (a, b, c) order.
     """
     nb, nc = ext.a_lo.shape
     row, a = expand_ranges(np.arange(nb * nc), ext.a_lo.ravel(), ext.a_hi.ravel() + 1)
-    order = np.argsort(a, kind="stable")
-    row, a = row[order], a[order]
+    ids = np.argsort(a, kind="stable")
+    row, a = row[ids], a[ids]
     idx = np.column_stack([a, ext.origin[0] + row // nc, ext.origin[1] + row % nc])
     centers = (idx * spacing) @ frame.matrix()
-    return _pack_idx(idx), idx, centers
+    return ids, idx, centers
 
 
 # ---------------------------------------------------------------------------
@@ -388,19 +391,17 @@ def enumerate_incomparable(
     extents = [_row_extents(f, spacing, hw, box) for f in frames]
     patterns = _comparability_patterns(extents, step, gaps, spacing, hw, K)
 
-    for j in range(T):
-        rows = _row_keys(*_extent_rows(extents[j]))
+    for j, ext in enumerate(extents):
+        rows = _row_keys(*_extent_rows(ext))
         hits = [np.empty((0, 3), dtype=np.int64)]
         for g in gaps[gaps <= j].tolist():
             window = containment_window(thetas[j] - thetas[j - g], hw, K)
             for pattern in patterns[g]:
                 hits.append(pattern.hits(rows, frames[j], coll.slices[j - g], spacing, window))
-        coll.slices.append(
-            _SliceSpec(
-                theta=thetas[j], frame=frames[j], n_sat=extents[j].n_cells,
-                rejected=np.unique(_pack_idx(np.concatenate(hits))), extents=extents[j],
-            )
-        )
+        rejected = np.unique(ext.cell_ids(np.concatenate(hits))[1])
+        coll.slices.append(_SliceSpec(
+            theta=thetas[j], frame=frames[j], n_sat=ext.n_cells, rejected=rejected, extents=ext
+        ))
     return coll
 
 
@@ -450,7 +451,7 @@ def _kept(spec: _SliceSpec, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # a mask over the slice's ids, built per call: kept on the collection,
         # it would hold a byte per candidate of every slice at once
         keep = np.ones(spec.n_sat, dtype=bool)
-        keep[spec.extents.cell_ids(_unpack_idx(spec.rejected))[1]] = False
+        keep[spec.rejected] = False
         kept &= keep[ids]
     return kept, ids
 
@@ -488,8 +489,8 @@ def _domain_rows(extents: list[_RowExtents]) -> tuple[np.ndarray, ...]:
 
 
 def _row_keys(b, c, lo, hi) -> tuple[np.ndarray, np.ndarray]:
-    """Row-major (b, c, a) keys of the first and last cell of each interval."""
-    return _pack_idx(np.column_stack([b, c, lo])), _pack_idx(np.column_stack([b, c, hi]))
+    """Keys of the first and last cell of each interval."""
+    return _pack_idx(np.column_stack([lo, b, c])), _pack_idx(np.column_stack([hi, b, c]))
 
 
 @dataclass
@@ -498,9 +499,8 @@ class _Pattern:
 
     v is a cell of the later slice j, u of the earlier slice j - g. Forward
     pairs ask whether the v plank lies in the K-dilation of the u plank,
-    reverse pairs the converse. v_keys are row-major keys, _pack_idx of
-    (b, c, a), so the pairs whose v cell lies in one a-interval of a row are
-    one run of the array.
+    reverse pairs the converse. _pack_idx keys sort row-major, so the pairs
+    whose v cell lies in one a-interval of a row are one run of the array.
     """
 
     forward: bool
@@ -514,7 +514,7 @@ class _Pattern:
         _, pos = expand_ranges(np.arange(first.size), first, last)
         u = _unpack_idx(self.u_keys[pos])
         kept = _kept(u_spec, u)[0]
-        v, u = _unpack_idx(self.v_keys[pos[kept]])[:, [2, 0, 1]], u[kept]
+        v, u = _unpack_idx(self.v_keys[pos[kept]]), u[kept]
         # the exact test: the inner plank lies in the K-dilation of the outer
         # one exactly when its center, in the outer frame, is in_window
         if self.forward:
@@ -588,7 +588,7 @@ def _comparability_patterns(extents, step: float, gaps, spacing, hw, K: float) -
                 cells = np.column_stack([a, b[iv], c[iv]])
                 row, far = _window_cells((cells * spacing) @ to_far.T, spacing, window)
                 v, u = (cells[row], far) if forward else (far, cells[row])
-                v_keys.append(_pack_idx(v[:, [1, 2, 0]]))
+                v_keys.append(_pack_idx(v))
                 u_keys.append(_pack_idx(u))
             v_keys, u_keys = np.concatenate(v_keys), np.concatenate(u_keys)
             order = np.argsort(v_keys, kind="stable")
@@ -614,7 +614,7 @@ def verify_pairwise_incomparable(coll: PlankCollection) -> int:
     share one shape. Used by the exhaustive acceptance check at small R.
     """
     thetas, centers = [np.zeros(0)], [np.zeros((0, 3))]
-    for j, spec, keys, cells in coll.iter_slices():
+    for j, spec, cells in coll.iter_slices():
         thetas.append(np.full(cells.shape[0], spec.theta))
         centers.append(cells)
     batch = PlankBatch(np.concatenate(thetas), np.concatenate(centers), coll.A, coll.B)
@@ -652,34 +652,21 @@ def _assign_points(
     return row[kept], ids[kept]
 
 
-def _planks_by_key(spec: _SliceSpec, ids: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(packed keys, point counts, ids) of the planks the incidence ids reach, in key order."""
-    counts = np.bincount(ids)
-    held = np.flatnonzero(counts)
-    keys = _pack_idx(spec.extents.cells(held))
-    order = np.argsort(keys)
-    return keys[order], counts[held[order]], held[order]
-
-
-def slice_counts(coll: PlankCollection, pts: np.ndarray, K_rich: float):
-    """Per slice, (sorted packed keys, point counts) of the planks holding a point."""
-    for j, spec in enumerate(coll.slices):
-        yield _planks_by_key(spec, _assign_points(coll, j, pts, K_rich)[1])[:2]
-
-
 def slice_incidences(coll: PlankCollection, pts: np.ndarray, K_rich: float):
     """Per slice, (point counts, point rows grouped by plank) of the planks holding a point.
 
-    Both are int32, planks in packed-key order as in slice_counts. Points are
-    decided one at a time, so a subset of pts holds, per plank, the sum of
-    its 0/1 mask over the plank's rows.
+    Both are int32, planks in (a, b, c) order of their grid indices. Points
+    are decided one at a time, so a subset of pts holds, per plank, the sum
+    of its 0/1 mask over the plank's rows.
     """
     for j, spec in enumerate(coll.slices):
         row, ids = _assign_points(coll, j, pts, K_rich)
-        _, counts, held = _planks_by_key(spec, ids)
+        counts = np.bincount(ids)
+        held = np.flatnonzero(counts)  # (b, c, a) order: a stable sort on a gives (a, b, c)
+        held = held[np.argsort(spec.extents.cells(held)[:, 0], kind="stable")]
         rank = np.empty(spec.n_sat, dtype=np.int64)
         rank[held] = np.arange(held.size)
-        yield counts.astype(np.int32), row[np.argsort(rank[ids])].astype(np.int32)
+        yield counts[held].astype(np.int32), row[np.argsort(rank[ids])].astype(np.int32)
 
 
 @dataclass

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats as sstats
 
-from conftest import clustered_unit_family, random_unit_family
+from conftest import clustered_unit_family, packed_key_counts, random_unit_family
 from tangencylab import experiments as ex
 from tangencylab import geometry
 from tangencylab import planks as planks_mod
@@ -37,14 +37,7 @@ from tangencylab.geometry import (
     wrap_angle,
 )
 from tangencylab.incidence import bin_dyadic, count_ct_delta_hashed
-from tangencylab.planks import (
-    _unpack_idx,
-    enumerate_incomparable,
-    pair_planks,
-    richness,
-    slice_counts,
-    slice_incidences,
-)
+from tangencylab.planks import enumerate_incomparable, pair_planks, richness, slice_incidences
 
 
 class TestScalingSweep:
@@ -516,11 +509,6 @@ class TestSharpness:
             ex.run_sharpness(R=2**8, rho=2**5, eps=0.2, seeds=[0])  # rho > sqrt(R)
 
 
-def _slice_count_keys(coll, pts):
-    """Oracle: slice_counts' per-slice (sorted packed keys, counts) of the planks holding pts."""
-    return list(slice_counts(coll, pts.astype(float), 1.0))
-
-
 @pytest.fixture(scope="module")
 def tiled_candidates():
     """The R = 2^10 collection, the rho = 2 candidates Y and their incidences."""
@@ -537,16 +525,16 @@ class TestSharpnessRestriction:
         coll = tiled_candidates[0]
         cand, _ = wellspaced_candidates(2**10, rho)
         incidences = list(slice_incidences(coll, cand.astype(float), 1.0))
-        cand_slices = _slice_count_keys(coll, cand)
-        for (counts, rows), (_, oracle) in zip(incidences, cand_slices):
+        cand_slices = packed_key_counts(coll, cand)
+        for (counts, rows), (_, _, oracle) in zip(incidences, cand_slices):
             assert counts.dtype == rows.dtype == np.int32
             assert np.array_equal(counts, oracle) and rows.size == counts.sum()
         drawn = 0
         for seed in seeds:
             fam = gen_random_wellspaced(2**10, rho, eps, seed)
             want = []
-            fam_slices = _slice_count_keys(coll, fam.points)
-            for (ckeys, _), (fkeys, fcounts) in zip(cand_slices, fam_slices):
+            fam_slices = packed_key_counts(coll, fam.points)
+            for (ckeys, _, _), (fkeys, _, fcounts) in zip(cand_slices, fam_slices):
                 # every plank a drawn point reaches holds candidates
                 assert np.isin(fkeys, ckeys).all()
                 full = np.zeros(ckeys.size, dtype=np.int64)
@@ -564,15 +552,15 @@ class TestSharpnessRestriction:
         cand_counts = np.concatenate([counts for counts, _ in incidences])
         judged, _ = ex._judged_planks(p * cand_counts.astype(float))
         assert judged.size > 0
-        per_slice = _slice_count_keys(coll, cand)
-        slice_of = np.concatenate([np.full(k.size, j) for j, (k, _) in enumerate(per_slice)])
-        keys = np.concatenate([k for k, _ in per_slice])
+        per_slice = packed_key_counts(coll, cand)
+        slice_of = np.concatenate([np.full(k.size, j) for j, (k, _, _) in enumerate(per_slice)])
+        cells = np.concatenate([c for _, c, _ in per_slice])
         cand_fam = CircleFamily(cand.astype(float), R, rho, cube_box(R), {})
         fam = gen_random_wellspaced(R, rho, eps, 1)
         counts = ex._drawn_counts(cand, incidences, fam.points)
         for t in judged.tolist():
             j = int(slice_of[t])
-            center = (_unpack_idx(keys[t:t + 1]) * coll.spacing) @ coll.slices[j].frame.matrix()
+            center = (cells[t:t + 1] * coll.spacing) @ coll.slices[j].frame.matrix()
             plank = coll.plank_at(j, center[0])
             assert richness(plank, cand_fam, K=1.0) == cand_counts[t]
             assert richness(plank, fam, K=1.0) == counts[t]

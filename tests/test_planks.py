@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import clustered_unit_family, random_unit_family
+from conftest import abc_keys, clustered_unit_family, packed_key_counts, random_unit_family
 from tangencylab.errors import (
     ConcentricError,
     EmptyFamilyError,
@@ -63,7 +63,6 @@ from tangencylab.planks import (
     _row_extents,
     _sat_intersects,
     _slice_pair_coords,
-    _SliceSpec,
     _window_cells,
     add_dyadic_counts,
     bilinear_rich,
@@ -72,7 +71,6 @@ from tangencylab.planks import (
     pair_planks,
     rect_planks,
     richness,
-    slice_counts,
     slice_incidences,
     verify_pairwise_incomparable,
 )
@@ -154,6 +152,34 @@ class TestEnumeration:
         assert sum(s.rejected.size for s in coll.slices) > 0
         assert len(coll) == sum(coll.slice_cells(j)[0].size for j in range(len(coll.slices)))
 
+    @pytest.mark.parametrize(
+        "R, S, box_name", [(64, 64, "cube"), (64, 4, "annular"), (8, 1.5, "cube")]
+    )
+    def test_slice_cells_and_rejected_partition_the_ids(self, R, S, box_name):
+        # a slice names its cells by dense id: the kept cells' ids are their
+        # cell_ids, and with the rejected ids they cover 0..n_sat-1 once
+        coll = enumerate_incomparable(R, S=S, K=2.0, box=BOXES[box_name](R))
+        assert sum(s.rejected.size for s in coll.slices) > 0
+        for j, spec in enumerate(coll.slices):
+            ids, idx, _ = coll.slice_cells(j)
+            inside, want = spec.extents.cell_ids(idx)
+            assert inside.all() and ids.dtype == spec.rejected.dtype == np.int64
+            np.testing.assert_array_equal(ids, want)
+            assert not np.isin(ids, spec.rejected).any()
+            assert np.all(np.diff(spec.rejected) > 0)
+            every = np.sort(np.concatenate([ids, spec.rejected]))
+            np.testing.assert_array_equal(every, np.arange(spec.n_sat))
+
+    def test_slice_meeting_the_box_in_no_row(self):
+        # on the offset box at R = 8, S = 6.25, K = 3.25 one slice has no row
+        # at all; the greedy looks cells up in it and must find none
+        coll = enumerate_incomparable(8, S=6.25, K=3.25, box=BOXES["offset"](8))
+        empty = [s for s in coll.slices if s.extents.a_lo.size == 0]
+        assert empty and all(s.n_sat == 0 for s in empty)
+        inside, ids = empty[0].extents.cell_ids(np.array([[0, 0, 0], [-1, -2, 1]]))
+        assert not inside.any() and not ids.any()
+        assert verify_pairwise_incomparable(coll) == 0
+
     def test_box_intersection_filter_sound(self):
         # the separating-axis filter may never reject a plank that has a
         # point inside the box: sampled points of rejected planks must all
@@ -193,10 +219,10 @@ class TestEnumeration:
         for _ in range(200):
             j = int(rng.integers(0, len(coll.slices)))
             spec = coll.slices[j]
-            keys, idx, centers = _grid_sat_cells(spec.extents, spec.frame, spacing)
-            if keys.size == 0:
+            ids, idx, centers = _grid_sat_cells(spec.extents, spec.frame, spacing)
+            if ids.size == 0:
                 continue
-            t = int(rng.integers(0, keys.size))
+            t = int(rng.integers(0, ids.size))
             cand = Lightplank(frame=spec.frame, v=centers[t], A=coll.A, B=coll.B)
             assert _kernel_comparable_any(cand, members, coll.K)
             checked += 1
@@ -222,34 +248,39 @@ def _bounding_grid(frame, spacing, hw, box):
 
 
 def _per_cell_sat_cells(frame, spacing, hw, box):
-    """The scan the row extents replaced: the SAT on every cell of the bounding grid."""
+    """The scan the row extents replaced: the SAT on every cell of the bounding grid.
+
+    Returns (grid indices, centers) in lexicographic (a, b, c) order.
+    """
     idx = _bounding_grid(frame, spacing, hw, box)
     centers = (idx * spacing) @ frame.matrix()
     mask = _sat_intersects(centers, frame.matrix(), hw, box)
-    idx, centers = idx[mask], centers[mask]
-    return _pack_idx(idx), idx, centers
+    return idx[mask], centers[mask]
 
 
 def _assert_row_extents_match(frame, spacing, hw, box, check_contains=False):
     ext = _row_extents(frame, spacing, hw, box)
-    got = _grid_sat_cells(ext, frame, spacing)
+    got_ids, *got = _grid_sat_cells(ext, frame, spacing)
     want = _per_cell_sat_cells(frame, spacing, hw, box)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.shape == w.shape
         np.testing.assert_array_equal(g, w)
+    # the listing names each cell by its dense id
+    assert got_ids.dtype == np.int64
+    np.testing.assert_array_equal(got_ids, ext.cell_ids(want[0])[1])
     if check_contains:
         grid = _bounding_grid(frame, spacing, hw, box)
-        member = np.isin(_pack_idx(grid), want[0])
+        member = np.isin(_pack_idx(grid), _pack_idx(want[0]))
         np.testing.assert_array_equal(ext.cell_ids(grid)[0], member)
         lo, hi = grid.min(axis=0), grid.max(axis=0)
         for shift in ([1, 0, 0], [0, 1, 0], [0, 0, 1]):  # cells past the grid bounds
             assert not ext.cell_ids(np.vstack([lo - shift, hi + shift]))[0].any()
         # the cells' ids are 0..n_cells-1, each once, and cells() inverts them
-        inside, ids = ext.cell_ids(want[1])
-        assert inside.all() and ext.n_cells == want[1].shape[0]
+        inside, ids = ext.cell_ids(want[0])
+        assert inside.all() and ext.n_cells == want[0].shape[0]
         np.testing.assert_array_equal(np.sort(ids), np.arange(ext.n_cells))
-        np.testing.assert_array_equal(ext.cells(ids), want[1])
-    return got[0].size
+        np.testing.assert_array_equal(ext.cells(ids), want[0])
+    return got_ids.size
 
 
 def _slice_frames(S):
@@ -343,7 +374,6 @@ class TestRowExtents:
 
 
 _SIGNS = np.array([[a, b, c] for a in (-1.0, 1.0) for b in (-1.0, 1.0) for c in (-1.0, 1.0)])
-_KEY_MASK = (1 << 21) - 1
 
 
 def _corner_contained(inner, outer, v, U, hw, K):
@@ -364,9 +394,7 @@ def _lattice_planks(coll):
     sl, centers, kept = [], [], []
     for j, spec in enumerate(coll.slices):
         _, _, kept_centers = coll.slice_cells(j)
-        k = spec.rejected
-        idx = np.column_stack([(k >> 42) & _KEY_MASK, (k >> 21) & _KEY_MASK, k & _KEY_MASK])
-        rejected_centers = ((idx - (1 << 20)) * coll.spacing) @ spec.frame.matrix()
+        rejected_centers = (spec.extents.cells(spec.rejected) * coll.spacing) @ spec.frame.matrix()
         for c, flag in ((kept_centers, True), (rejected_centers, False)):
             sl.append(np.full(len(c), j))
             centers.append(c)
@@ -412,35 +440,38 @@ class TestEnumerationFuzz:
 
 
 def _scan_enumeration(R, S, K, box):
-    """The per-slice scan the comparability patterns replaced, as (n_sat, rejected) per slice.
+    """The per-slice scan the comparability patterns replaced: (n_sat, rejected cells) per slice.
 
     Every box-meeting cell of every slice is tested against the kept planks
     of each earlier slice at a feasible gap, in both directions, through
     _window_cells: its center on the earlier slice's grid, and the earlier
-    slice's kept centers on its own grid.
+    slice's kept centers on its own grid. Cells are matched by packed key;
+    the rejected cells (n, 3) come in row-major (b, c, a) order.
     """
     spacing = K * np.array([1.0, math.sqrt(S), S])
     hw = spacing / (2.0 * K)
     T = int(math.ceil(2.0 * math.pi * math.sqrt(S)))
     step = 2.0 * math.pi / T
     gaps = _comparable_gaps(step, T, hw, K)
-    specs, kept = [], []
+    slices, out = [], []  # per slice: frame, extents, packed keys of rejected cells, kept centers
     for j in range(T):
         frame = plank_axes(wrap_angle(-math.pi + step * j))
         ext = _row_extents(frame, spacing, hw, box)
-        keys, _, centers = _grid_sat_cells(ext, frame, spacing)
+        _, idx, centers = _grid_sat_cells(ext, frame, spacing)
+        keys = _pack_idx(idx)
         hits = np.zeros(keys.size, dtype=bool)
-        for j2 in (j - gaps[gaps <= j]).tolist():
-            u = specs[j2]
-            window = containment_window(frame.theta - u.frame.theta, hw, K)
-            row, cells = _window_cells(centers @ u.frame.matrix().T, spacing, window)
-            kept_u = u.extents.cell_ids(cells)[0] & ~np.isin(_pack_idx(cells), u.rejected)
+        for u_frame, u_ext, u_rejected, u_kept in (slices[j - g] for g in gaps[gaps <= j].tolist()):
+            window = containment_window(frame.theta - u_frame.theta, hw, K)
+            row, cells = _window_cells(centers @ u_frame.matrix().T, spacing, window)
+            kept_u = u_ext.cell_ids(cells)[0] & ~np.isin(_pack_idx(cells), u_rejected)
             hits[row[kept_u]] = True
-            _, cells = _window_cells(kept[j2] @ frame.matrix().T, spacing, window)
+            _, cells = _window_cells(u_kept @ frame.matrix().T, spacing, window)
             hits |= np.isin(keys, _pack_idx(cells))
-        specs.append(_SliceSpec(frame.theta, frame, int(keys.size), keys[hits], ext))
-        kept.append(centers[~hits])
-    return [(s.n_sat, s.rejected) for s in specs]
+        slices.append((frame, ext, keys[hits], centers[~hits]))
+        rejected = idx[hits]
+        row_major = np.lexsort((rejected[:, 0], rejected[:, 2], rejected[:, 1]))
+        out.append((int(keys.size), rejected[row_major]))
+    return out
 
 
 class TestPatternEnumeration:
@@ -453,9 +484,10 @@ class TestPatternEnumeration:
         assert len(coll.slices) == len(want)
         for spec, (n_sat, rejected) in zip(coll.slices, want):
             assert spec.n_sat == n_sat
-            assert spec.rejected.dtype == rejected.dtype
-            np.testing.assert_array_equal(spec.rejected, rejected)
-        return sum(r.size for _, r in want)
+            # sorted ids, and the same cells, in id order
+            assert spec.rejected.dtype == np.int64 and np.all(np.diff(spec.rejected) > 0)
+            np.testing.assert_array_equal(spec.extents.cells(spec.rejected), rejected)
+        return sum(r.shape[0] for _, r in want)
 
     @pytest.mark.parametrize("box_name", ["cube", "annular"])
     @pytest.mark.parametrize("S_of_R", ["R", "R/4", "4", "2"])
@@ -499,12 +531,14 @@ class TestPatternEnumeration:
         ]
         assert len(blocks) > 10 and max(len(cells) for cells in blocks) <= 1000
         cells = np.vstack(blocks)
-        keys = _pack_idx(cells[:, [1, 2, 0]])
-        assert np.all(np.diff(keys) > 0)  # row-major order, each cell once
-        union = np.unique(np.concatenate(
-            [_grid_sat_cells(s.extents, s.frame, coll.spacing)[0] for s in coll.slices]
-        ))
-        np.testing.assert_array_equal(np.sort(_pack_idx(cells)), union)
+        # row-major (b, c, a) order, each cell once
+        order = np.lexsort((cells[:, 0], cells[:, 2], cells[:, 1]))
+        np.testing.assert_array_equal(order, np.arange(cells.shape[0]))
+        assert np.unique(cells, axis=0).shape == cells.shape
+        union = np.unique(np.vstack(
+            [_grid_sat_cells(s.extents, s.frame, coll.spacing)[1] for s in coll.slices]
+        ), axis=0)
+        np.testing.assert_array_equal(np.unique(cells, axis=0), union)
 
     def test_margin_covers_per_slice_rounding(self):
         # at R = 2^12, on the extreme cells of the domain (both ends of every
@@ -640,19 +674,13 @@ class TestWindowCells:
         assert row.shape == (0,) and cells.shape == (0, 3)
 
 
-def _assigned_keys(coll, j, pts, K_rich):
-    """_assign_points' incidences of slice j as (point index, packed plank key)."""
-    pt_ids, ids = _assign_points(coll, j, pts, K_rich)
-    return pt_ids, _pack_idx(coll.slices[j].extents.cells(ids))
-
-
 def _slice_members(coll, fam, K_rich):
-    """(slice index, packed key, richness) of every plank holding a point."""
-    per_slice = list(slice_counts(coll, fam.points.astype(float), K_rich))
-    sl = np.concatenate([np.full(keys.size, j) for j, (keys, _) in enumerate(per_slice)])
-    keys = np.concatenate([keys for keys, _ in per_slice])
-    counts = np.concatenate([counts for _, counts in per_slice])
-    return sl, keys, counts
+    """(slice index, grid indices, richness) of every plank holding a point, by packed keys."""
+    per_slice = packed_key_counts(coll, fam.points, K_rich)
+    sl = np.concatenate([np.full(keys.size, j) for j, (keys, _, _) in enumerate(per_slice)])
+    cells = np.concatenate([cells for _, cells, _ in per_slice])
+    counts = np.concatenate([counts for _, _, counts in per_slice])
+    return sl, cells, counts
 
 
 @pytest.fixture(scope="module")
@@ -687,12 +715,12 @@ class TestRichness:
     def test_bucket_members_match_direct_scan(self):
         coll = enumerate_incomparable(32, S=32, K=2.0)
         fam = gen_maximal_separated(32, 4)
-        sl, keys, counts = _slice_members(coll, fam, 1.0)
+        sl, cells, counts = _slice_members(coll, fam, 1.0)
         rng = np.random.default_rng(5)
-        for t in rng.integers(0, len(keys), min(60, len(keys))):
+        for t in rng.integers(0, len(cells), min(60, len(cells))):
             j = int(sl[t])
-            ks, idx, centers = coll.slice_cells(j)
-            pos = int(np.searchsorted(ks, int(keys[t])))
+            _, idx, centers = coll.slice_cells(j)
+            pos = int(np.flatnonzero(np.all(idx == cells[t], axis=1))[0])
             P = coll.plank_at(j, centers[pos])
             assert richness(P, fam, K=1.0) == int(counts[t])
 
@@ -718,7 +746,7 @@ class TestRichness:
         fam = CircleFamily(np.vstack(pts), 16.0, 0.0, cube_box(16), {})
         n_incidences = 0
         for j in range(len(coll.slices)):
-            pt_ids, keys = _assigned_keys(coll, j, fam.points, K_rich)
+            pt_ids, keys = _assign_points(coll, j, fam.points, K_rich)
             ks, _, centers = coll.slice_cells(j)
             assert np.isin(keys, ks).all()
             uniq, counts = np.unique(keys, return_counts=True)
@@ -740,7 +768,7 @@ class TestRichness:
             pick = centers[rng.integers(0, len(centers), 30)]
             signs = rng.choice([-1.0, 1.0], (30, 3))
             pts = pick + (signs * window) @ coll.slices[j].frame.matrix()
-            pt_ids, keys = _assigned_keys(coll, j, pts, K_rich)
+            pt_ids, keys = _assign_points(coll, j, pts, K_rich)
             pairs = np.column_stack([pt_ids, keys])
             assert np.unique(pairs, axis=0).shape[0] == pairs.shape[0] > 0
 
@@ -765,7 +793,7 @@ class TestRichness:
         pts = centers[pick] + (signs * (K_rich * coll.half_widths)) @ U
         fam = CircleFamily(pts, 16.0, 0.0, cube_box(16), {})
 
-        pt_ids, keys = _assigned_keys(coll, j, pts, K_rich)
+        pt_ids, keys = _assign_points(coll, j, pts, K_rich)
         assigned = dict(zip(*(a.tolist() for a in np.unique(keys, return_counts=True))))
         reach = np.linalg.norm(K_rich * coll.half_widths) * (1 + 1e-6) + 1e-6
         for k, c in zip(ks.tolist(), centers):
@@ -845,7 +873,8 @@ def _packed_key_assign(coll, j, pts, K_rich):
 
     The 3-D window kernel lists the cells; a cell is kept when its row
     extent holds it and a search of the slice's sorted rejected keys misses
-    it. Counting by np.unique over the keys gives planks in key order.
+    it. The keys sort as (a, b, c), so np.unique over them gives planks in
+    the order slice_incidences gives them.
     """
     spec, ext = coll.slices[j], coll.slices[j].extents
     row, cells = _window_cells_3d(
@@ -856,10 +885,11 @@ def _packed_key_assign(coll, j, pts, K_rich):
     kept = (i >= 0) & (i < nb) & (k >= 0) & (k < nc)
     i, k = np.where(kept, i, 0), np.where(kept, k, 0)
     kept &= (ext.a_lo[i, k] <= cells[:, 0]) & (cells[:, 0] <= ext.a_hi[i, k])
-    keys = _pack_idx(cells[kept])
-    if spec.rejected.size:
-        pos = np.minimum(np.searchsorted(spec.rejected, keys), spec.rejected.size - 1)
-        hit = spec.rejected[pos] != keys
+    keys = abc_keys(cells[kept])
+    rejected = np.sort(abc_keys(ext.cells(spec.rejected)))
+    if rejected.size:
+        pos = np.minimum(np.searchsorted(rejected, keys), rejected.size - 1)
+        hit = rejected[pos] != keys
         kept[kept] = hit
         keys = keys[hit]
     return row[kept], keys
@@ -874,21 +904,15 @@ def rich_case(request):
 
 
 class TestPackedKeyPath:
-    """slice_counts, slice_incidences and mu_buckets against the pass by packed keys."""
+    """slice_incidences and mu_buckets against the pass by packed keys."""
 
     @pytest.mark.parametrize("K_rich", [1.0, 2.0, 3.0])
     def test_slice_outputs_equal_packed_key_path(self, rich_case, K_rich):
         coll, pts = rich_case
-        counted = incidences = 0
-        for j, (keys, counts), (inc_counts, rows) in zip(
-            range(len(coll.slices)), slice_counts(coll, pts, K_rich),
-            slice_incidences(coll, pts, K_rich),
-        ):
+        counted = incidences = n_slices = 0
+        for j, (inc_counts, rows) in enumerate(slice_incidences(coll, pts, K_rich)):
             want_rows, want_keys = _packed_key_assign(coll, j, pts, K_rich)
             uniq, n = np.unique(want_keys, return_counts=True)
-            assert keys.dtype == uniq.dtype and counts.dtype == n.dtype
-            np.testing.assert_array_equal(keys, uniq)
-            np.testing.assert_array_equal(counts, n)
             assert inc_counts.dtype == rows.dtype == np.int32
             np.testing.assert_array_equal(inc_counts, n)
             # the same rows per plank: (plank, row) pairs, each listed once, sorted
@@ -897,8 +921,10 @@ class TestPackedKeyPath:
             for r in (rows, want_rows):
                 r[:] = r[np.lexsort((r, plank))]
             np.testing.assert_array_equal(rows, want_rows)
-            counted += keys.size
+            counted += uniq.size
             incidences += rows.size
+            n_slices += 1
+        assert n_slices == len(coll.slices)
         assert counted > 1000 and incidences > counted
 
     # the literal tables of the rich_planks workload's first two scales
